@@ -448,8 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="reject parameter sets violating any payoff "
                              "ordering chain")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for scans (output is identical "
-                             "for any value)")
+                        help="accepted for compatibility; scans run in one "
+                             "thread and output does not depend on it")
     parser = argparse.ArgumentParser(
         prog="zdtrade",
         description="Zero-determinant strategy analysis for the noisy "

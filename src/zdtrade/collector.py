@@ -11,21 +11,29 @@ certificates instead of taking it on faith.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import BaselineDegenerateError
+from .errors import BaselineDegenerateError, InvalidParameterError
 from .payoffs import GameParams, StateIndex, build_payoffs, validate_ordering
 
 DENOM_TOL = 1e-12
+
+
+def _holds(gap: float) -> bool:
+    """A forced equality fails only by a finite, nonzero gap; a NaN gap
+    certifies nothing."""
+    return bool(math.isfinite(gap) and gap != 0.0)
 
 
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
     """Machine-checkable verdict that a collector-side strategy cannot exist.
 
-    holds=True means the forced equality fails (the strategy is impossible,
-    as claimed); holds=False flags the degenerate payoff configurations
-    where the argument's premise breaks down.  ordering_violations lists
+    holds=True means the forced equality fails by a finite, nonzero gap
+    (the strategy is impossible, as claimed); holds=False flags the
+    degenerate payoff configurations where the argument's premise breaks
+    down, and any gap that is not finite.  ordering_violations lists
     which assumed payoff chains the inputs do not satisfy, since the
     impossibility argument is conditional on them.
     """
@@ -64,7 +72,7 @@ def check_collector_pinning(params: GameParams) -> InfeasibilityCertificate:
     violations = () if report.u_p_cc_gt_cd else ("u_p_cc_gt_cd",)
     return InfeasibilityCertificate(
         kind="pinning", conflicting_states=("CC", "CD"),
-        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=bool(lhs != rhs),
+        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=_holds(lhs - rhs),
         ordering_violations=violations,
     )
 
@@ -79,6 +87,9 @@ def check_collector_extortion(params: GameParams, l1: float,
     provider prefers a cooperative collector, the collector gains from
     resale, and both denominators are positive.
     """
+    for name, v in (("l1", l1), ("l2", l2)):
+        if not math.isfinite(v):
+            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
     pv = build_payoffs(params)
     d_cc = float(pv.u_c[StateIndex.CC]) - l2
     d_cd = float(pv.u_c[StateIndex.CD]) - l2
@@ -97,6 +108,6 @@ def check_collector_extortion(params: GameParams, l1: float,
     )
     return InfeasibilityCertificate(
         kind="extortion", conflicting_states=("CC", "CD"),
-        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=bool(lhs != rhs),
+        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=_holds(lhs - rhs),
         ordering_violations=violations, baselines=(float(l1), float(l2)),
     )

@@ -22,7 +22,6 @@ brute-force strategy construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -356,8 +355,13 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     bounds (nan + reason code when a ratio denominator degenerates), and
     decide `feasible` from the exact chi interval intersected with
     chi > 1.  With chi_probe set, also report per cell whether that
-    specific factor admits an admissible phi.
+    specific factor admits an admissible phi.  `jobs` is accepted for
+    compatibility only: the scan runs in one thread and its output does
+    not depend on it.
     """
+    for name, v in (("l1", l1), ("l2", l2)):
+        if not math.isfinite(v):
+            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
     e1_axis = np.asarray(e1_grid, dtype=float)
     e2_axis = np.asarray(e2_grid, dtype=float)
     for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):
@@ -372,7 +376,7 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     code = np.zeros((n1, n2), dtype=np.int8)
     probe = np.zeros((n1, n2), dtype=bool) if chi_probe is not None else None
 
-    def run(i):
+    for i in range(n1):
         e1 = float(e1_axis[i])
         for j in range(n2):
             cell = params_base.replace_noise(e1=e1, e2=float(e2_axis[j]))
@@ -391,13 +395,6 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
                     probe[i, j] = (phi_feasible_interval(
                         cell, l1, l2, chi_probe, phi_sign) is not None)
 
-    indices = range(n1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, n1)) as pool:
-            list(pool.map(run, indices))
-    else:
-        for i in indices:
-            run(i)
     return ExtortionGrid(
         e1_axis=e1_axis, e2_axis=e2_axis, chi_lower=chi_lo, chi_upper=chi_hi,
         feasible=feasible, reason_code=code, probe_feasible=probe,

@@ -19,7 +19,6 @@ payoff vector - the identity that makes zero-determinant strategies work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,6 +98,33 @@ def _qvec(q) -> np.ndarray:
     return CollectorStrategy.from_vector(q).vector
 
 
+def _provider_factors(p, e2: float) -> np.ndarray:
+    """F[v, w]: probability that the provider plays the action of next
+    state w (C for CC/CD, D for DC/DD) after previous state v."""
+    pv = _pvec(p)
+
+    def masked(f):
+        return np.array([f[0], e2 * f[0] + (1 - e2) * f[1],
+                         f[2], e2 * f[2] + (1 - e2) * f[3]])
+
+    coop, defect = masked(pv), masked(1.0 - pv)
+    return np.stack([coop, coop, defect, defect], axis=1)
+
+
+def _collector_factors(qs, e1: float) -> np.ndarray:
+    """G[k, w]: probability of collector k's response forming next state w."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != 2:
+        raise InvalidParameterError("qs must have shape (n, 2)")
+    if not np.all(np.isfinite(qs) & (qs >= 0) & (qs <= 1)):
+        raise InvalidParameterError(
+            "collector strategies must be finite and lie in [0, 1]")
+    q1, q2 = qs[:, 0], qs[:, 1]
+    return np.stack([q1, 1 - q1,
+                     (1 - e1) * q1 + e1 * q2,
+                     (1 - e1) * (1 - q1) + e1 * (1 - q2)], axis=1)
+
+
 def provider_transition_factor(v: StateIndex, p, e2: float, action: str) -> float:
     """Probability that the provider plays `action` after previous state v.
 
@@ -113,16 +139,8 @@ def provider_transition_factor(v: StateIndex, p, e2: float, action: str) -> floa
     """
     if action not in ("C", "D"):
         raise InvalidParameterError(f"action must be 'C' or 'D', got {action!r}")
-    pv = _pvec(p)
-    f = pv if action == "C" else 1.0 - pv
-    v = StateIndex(v)
-    if v == StateIndex.CC:
-        return float(f[0])
-    if v == StateIndex.CD:
-        return float(e2 * f[0] + (1 - e2) * f[1])
-    if v == StateIndex.DC:
-        return float(f[2])
-    return float(e2 * f[2] + (1 - e2) * f[3])
+    w = StateIndex.CC if action == "C" else StateIndex.DC
+    return float(_provider_factors(p, e2)[StateIndex(v), w])
 
 
 def collector_transition_factor(w: StateIndex, q, e1: float) -> float:
@@ -136,66 +154,34 @@ def collector_transition_factor(w: StateIndex, q, e1: float) -> float:
         G(w=DC) = (1-e1) q1 + e1 q2
         G(w=DD) = (1-e1)(1-q1) + e1 (1-q2)
     """
-    q1, q2 = _qvec(q)
-    w = StateIndex(w)
-    if w == StateIndex.CC:
-        return float(q1)
-    if w == StateIndex.CD:
-        return float(1 - q1)
-    if w == StateIndex.DC:
-        return float((1 - e1) * q1 + e1 * q2)
-    return float((1 - e1) * (1 - q1) + e1 * (1 - q2))
+    return float(_collector_factors(_qvec(q)[None], e1)[0, StateIndex(w)])
 
 
 def build_transition_matrix(p, q, params: GameParams) -> np.ndarray:
     """4x4 row-stochastic transition matrix, rows = previous state."""
-    m = np.empty((4, 4))
-    for v in StateIndex:
-        for w in StateIndex:
-            action = "C" if w in (StateIndex.CC, StateIndex.CD) else "D"
-            m[v, w] = (provider_transition_factor(v, p, params.e2, action)
-                       * collector_transition_factor(w, q, params.e1))
-    return m
+    return build_transition_matrices(p, _qvec(q)[None], params)[0]
 
 
 def build_transition_matrices(p, qs, params: GameParams) -> np.ndarray:
-    """Stacked matrices for one provider strategy against many collector
-    strategies: qs has shape (n, 2), result has shape (n, 4, 4)."""
-    pv = _pvec(p)
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != 2:
-        raise InvalidParameterError("qs must have shape (n, 2)")
-    if qs.size and (qs.min() < 0 or qs.max() > 1):
-        raise InvalidParameterError("collector strategies must lie in [0, 1]")
-    e1, e2 = params.e1, params.e2
-    q1, q2 = qs[:, 0], qs[:, 1]
-    coop = np.array([pv[0], e2 * pv[0] + (1 - e2) * pv[1],
-                     pv[2], e2 * pv[2] + (1 - e2) * pv[3]])
-    g = np.stack([q1, 1 - q1,
-                  (1 - e1) * q1 + e1 * q2,
-                  (1 - e1) * (1 - q1) + e1 * (1 - q2)], axis=1)  # (n, 4)
-    f = np.where(np.array([True, True, False, False])[None, None, :],
-                 coop[None, :, None], 1 - coop[None, :, None])   # (1, 4v, 4w)
-    return f * g[:, None, :]
+    """Stacked matrices M[k, v, w] = F[v, w] G[k, w] for one provider
+    strategy against many collector strategies: qs has shape (n, 2),
+    result has shape (n, 4, 4)."""
+    g = _collector_factors(qs, params.e1)
+    return _provider_factors(p, params.e2)[None] * g[:, None, :]
 
 
-def _check_unique(m: np.ndarray) -> None:
-    s = np.linalg.svd(m - np.eye(4), compute_uv=False)
-    if s[2] < REDUCIBLE_TOL:
-        raise NonUniqueStationaryError(
-            "transition matrix is reducible at tolerance; the stationary "
-            "distribution is not unique (perturb strategy entries away "
-            "from 0/1 corners)"
-        )
+def _reducible(ms: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, 4, 4) stack: True when the two smallest
+    singular values of M - I are both below REDUCIBLE_TOL."""
+    s = np.linalg.svd(ms - np.eye(4), compute_uv=False)
+    return s[:, 2] < REDUCIBLE_TOL
 
 
 def stationary_distribution(m) -> np.ndarray:
     """Stationary row vector v with v M = v, sum(v) = 1, v >= 0.
 
-    Solves the singular balance system with the normalisation constraint
-    appended (one redundant balance row is dropped, since the balance rows
-    always sum to zero).  Raises NonUniqueStationaryError for reducible
-    chains instead of silently picking one of many stationary vectors.
+    Checks that m is a 4x4 row-stochastic matrix, then solves it as a
+    batch of one with `stationary_distributions`.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
@@ -204,29 +190,30 @@ def stationary_distribution(m) -> np.ndarray:
         raise InvalidParameterError("transition probabilities must lie in [0, 1]")
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
         raise InvalidParameterError("transition matrix rows must sum to 1")
-    _check_unique(m)
-    a = (m.T - np.eye(4)).copy()
-    a[3, :] = 1.0
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    v = np.linalg.solve(a, b)
-    v = np.where(np.abs(v) < 1e-14, 0.0, v)  # scrub solver dust at corners
-    return v / v.sum()
+    return stationary_distributions(m[None])[0]
 
 
 def stationary_distributions(ms: np.ndarray) -> np.ndarray:
-    """Stacked version of stationary_distribution for shape (n, 4, 4)."""
+    """Stationary row vectors of an (n, 4, 4) stack of transition matrices.
+
+    Solves each singular balance system with the normalisation constraint
+    appended (one redundant balance row is dropped, since the balance rows
+    always sum to zero).  Raises NonUniqueStationaryError for reducible
+    chains instead of silently picking one of many stationary vectors.
+    """
     ms = np.asarray(ms, dtype=float)
-    s = np.linalg.svd(ms - np.eye(4), compute_uv=False)
-    if np.any(s[:, 2] < REDUCIBLE_TOL):
+    if np.any(_reducible(ms)):
         raise NonUniqueStationaryError(
-            "at least one transition matrix in the batch is reducible"
+            "transition matrix is reducible at tolerance; the stationary "
+            "distribution is not unique (perturb strategy entries away "
+            "from 0/1 corners)"
         )
     a = np.transpose(ms, (0, 2, 1)) - np.eye(4)
     a[:, 3, :] = 1.0
     b = np.zeros((ms.shape[0], 4, 1))
     b[:, 3, 0] = 1.0
     v = np.linalg.solve(a, b)[..., 0]
-    v = np.where(np.abs(v) < 1e-14, 0.0, v)
+    v = np.where(np.abs(v) < 1e-14, 0.0, v)  # scrub solver dust at corners
     return v / v.sum(axis=1, keepdims=True)
 
 
@@ -266,9 +253,7 @@ def expected_payoffs_many(p, qs, params: GameParams):
 
 def reducible_mask(p, qs, params: GameParams) -> np.ndarray:
     """Boolean mask of collector strategies producing a reducible chain."""
-    ms = build_transition_matrices(p, qs, params)
-    s = np.linalg.svd(ms - np.eye(4), compute_uv=False)
-    return s[:, 2] < REDUCIBLE_TOL
+    return _reducible(build_transition_matrices(p, qs, params))
 
 
 # --------------------------------------------------------------------------
@@ -282,21 +267,14 @@ def provider_zd_column(p, e2: float) -> np.ndarray:
     Obtained by adding the first balance column to the second; depends
     only on the provider's strategy and the collector's noise e2.
     """
-    pv = _pvec(p)
-    return np.array([
-        pv[0] - 1.0,
-        e2 * pv[0] + (1 - e2) * pv[1] - 1.0,
-        pv[2],
-        e2 * pv[2] + (1 - e2) * pv[3],
-    ])
+    return _provider_factors(p, e2)[:, StateIndex.CC] - np.array([1.0, 1.0, 0.0, 0.0])
 
 
 def collector_zd_column(q, e1: float) -> np.ndarray:
     """The collector-controlled column: (0, 0, s - 1, s) with
     s = (1-e1) q1 + e1 q2, the probability the collector cooperates
     against a defecting provider."""
-    q1, q2 = _qvec(q)
-    s = (1 - e1) * q1 + e1 * q2
+    s = collector_transition_factor(StateIndex.DC, q, e1)
     return np.array([0.0, 0.0, s - 1.0, s])
 
 
@@ -317,13 +295,9 @@ class ZdColumns:
 
 
 def zd_columns(p, q, params: GameParams) -> ZdColumns:
-    pv = _pvec(p)
-    q1, _ = _qvec(q)
-    e2 = params.e2
-    coop = np.array([pv[0], e2 * pv[0] + (1 - e2) * pv[1],
-                     pv[2], e2 * pv[2] + (1 - e2) * pv[3]])
-    first = coop * q1 - np.array([1.0, 0.0, 0.0, 0.0])
-    return ZdColumns(first, provider_zd_column(p, e2),
+    first = build_transition_matrix(p, q, params)[:, StateIndex.CC]
+    return ZdColumns(first - np.array([1.0, 0.0, 0.0, 0.0]),
+                     provider_zd_column(p, params.e2),
                      collector_zd_column(q, params.e1))
 
 

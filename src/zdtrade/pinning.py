@@ -14,7 +14,6 @@ only when both land in [0, 1].
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import math
@@ -238,8 +237,8 @@ class PinningGrid:
         }
 
 
-def _scan_rows(p1_vals: np.ndarray, p4_axis: np.ndarray, u_c, a, b, d1, e2):
-    p1g, p4g = np.meshgrid(p1_vals, p4_axis, indexing="ij")
+def _scan_rows(axis: np.ndarray, u_c, a, b, d1, e2):
+    p1g, p4g = np.meshgrid(axis, axis, indexing="ij")
     p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1g
           + (u_c[0] - u_c[1]) * (1 + p4g)) / d1
     p3 = ((u_c[3] - u_c[2]) * (1 - p1g)
@@ -266,8 +265,9 @@ def scan_pinning_region(params: GameParams, resolution: int = 101,
     """Evaluate solve_pinning over an inclusive uniform grid.
 
     Cells the solver would reject (the 0/0 corner) are marked infeasible
-    with a reason code instead of raising.  `jobs` > 1 splits the p1 axis
-    across a thread pool; output is identical regardless of job count.
+    with a reason code instead of raising.  `jobs` is accepted for
+    compatibility only: the scan runs in one thread and its output does
+    not depend on it.
     """
     if resolution < 2:
         raise InvalidParameterError("resolution must be at least 2")
@@ -277,20 +277,7 @@ def scan_pinning_region(params: GameParams, resolution: int = 101,
             f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
         )
     axis = np.linspace(0.0, 1.0, resolution)
-    chunks = np.array_split(np.arange(resolution), max(1, min(jobs, resolution)))
-    work = [axis[idx] for idx in chunks if idx.size]
-
-    def run(p1_vals):
-        return _scan_rows(p1_vals, axis, u_c, a, b, d1, params.e2)
-
-    if len(work) > 1:
-        with ThreadPoolExecutor(max_workers=len(work)) as pool:
-            parts = list(pool.map(run, work))
-    else:
-        parts = [run(w) for w in work]
-    p2, p3, pinned, feasible, code = (
-        np.concatenate([part[k] for part in parts], axis=0) for k in range(5)
-    )
+    p2, p3, pinned, feasible, code = _scan_rows(axis, u_c, a, b, d1, params.e2)
     return PinningGrid(
         p1_axis=axis, p4_axis=axis.copy(), p2=p2, p3=p3, pinned_s_c=pinned,
         feasible=feasible, reason_code=code, a_const=a, b_const=b, d1_const=d1,

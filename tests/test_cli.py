@@ -183,6 +183,19 @@ def test_check_collector_verdicts(tmp_path, capsys):
     assert payload["extortion"]["holds"] is True
 
 
+def test_non_finite_baselines_exit_3(tmp_path, capsys):
+    # json.dumps writes NaN and json.loads reads it back: the library must
+    # reject it instead of reporting a feasible scan or a certificate
+    grid = {"e1_grid": {"num": 10, "max": 0.8}, "e2_grid": {"num": 10, "max": 0.8}}
+    cfg = write_config(tmp_path, extortion={"l1": float("nan"), "l2": -2, **grid})
+    assert main(["scan-extort", "--config", cfg,
+                 "--out", str(tmp_path / "e.csv")]) == 3
+    assert main(["check-collector", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert "l1 must be finite" in out.err
+    assert "infeasible for collector" not in out.out + out.err
+
+
 def test_simulate_all_cooperate_summary(tmp_path, capsys):
     cfg = write_config(tmp_path,
                        simulation={"rounds": 5000, "seed": 2, "burn_in": 100,

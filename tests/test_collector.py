@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from zdtrade import (BaselineDegenerateError, GameParams, build_payoffs,
+from zdtrade import (BaselineDegenerateError, GameParams,
+                     InvalidParameterError, build_payoffs,
                      check_collector_extortion, check_collector_pinning,
                      validate_ordering)
 
@@ -65,6 +67,14 @@ def test_extortion_certificate_degenerate_baseline(base_params):
         check_collector_extortion(base_params, l1=1, l2=5.0)
     with pytest.raises(BaselineDegenerateError):
         check_collector_extortion(base_params, l1=1, l2=5.5)
+
+
+def test_extortion_certificate_rejects_non_finite_baselines():
+    # a NaN gap must never certify: NaN != NaN would make holds True
+    params = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
+    for l1, l2 in ((math.nan, 2.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(InvalidParameterError):
+            check_collector_extortion(params, l1, l2)
 
 
 def test_pinning_sweep_no_counterexamples():

@@ -313,6 +313,10 @@ def test_scan_csv_format_and_jobs(base_params):
 
 
 def test_scan_grid_validation(base_params):
+    axis = np.linspace(0, 0.8, 10)
+    for l1, l2 in ((math.nan, 2), (1, math.nan), (math.inf, 2)):
+        with pytest.raises(InvalidParameterError):
+            scan_extortion_region(base_params, l1, l2, axis, axis)
     with pytest.raises(InvalidParameterError):
         scan_extortion_region(base_params, 1, 2, np.array([0.5]), np.array([0.1, 0.2]))
     with pytest.raises(InvalidParameterError):

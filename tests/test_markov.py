@@ -10,6 +10,7 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      collector_zd_column, expected_payoffs,
                      expected_payoffs_many, matrix_to_csv, matrix_to_json,
                      provider_transition_factor, provider_zd_column,
+                     reducible_mask,
                      stationary_distribution, stationary_distributions,
                      zd_columns, zd_determinant)
 
@@ -56,6 +57,10 @@ def test_matrix_matches_independent_entries():
         params = GameParams(5, 5, 2, 2, 3, 3, e1, e2)
         m = build_transition_matrix(p, q, params)
         np.testing.assert_allclose(m, reference_matrix(p, q, e1, e2), atol=1e-15)
+        # the batched kernel must reproduce the entry-by-entry arithmetic
+        # exactly: artifacts print full reprs of its results
+        np.testing.assert_array_equal(build_transition_matrices(p, q[None], params)[0],
+                                      reference_matrix(p, q, e1, e2))
 
 
 def test_all_cooperate_absorbs_into_cc(base_params):
@@ -280,13 +285,16 @@ def test_expected_payoffs_many_matches_scalar(base_params):
 
 # --- strategy types and serialization ---------------------------------------
 
-def test_strategy_validation():
+def test_strategy_validation(base_params):
     with pytest.raises(InvalidParameterError):
         ProviderStrategy(0.5, 1.2, 0.5, 0.5)
     with pytest.raises(InvalidParameterError):
         CollectorStrategy(-0.1, 0.5)
     with pytest.raises(InvalidParameterError):
         ProviderStrategy.from_vector([0.1, 0.2, 0.3])
+    for qs in ([[1.2, 0.5]], [[np.nan, 0.5]], [[0.5, np.inf]]):
+        with pytest.raises(InvalidParameterError):
+            reducible_mask((0.5, 0.5, 0.5, 0.5), qs, base_params)
 
 
 def test_matrix_csv_json(base_params):
