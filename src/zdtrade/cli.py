@@ -2,17 +2,24 @@
 
 Subcommands: payoffs, pin, scan-pin, extort, scan-extort, check-collector,
 simulate.  All read a JSON config file with a mandatory "game" section
-(flat trading-parameter keys) plus per-command sections; unknown keys are
-rejected so typos fail loudly.
+(flat trading-parameter keys) plus per-command sections.  `_SCHEMA` gives
+each key's JSON type (README "CLI" lists them).  The whole config is typed
+once, on load: an unknown or wrongly typed key fails in any section, used
+by the command or not, so typos fail loudly.  A section set to null counts
+as absent.  Ranges, signs and finiteness are checked by the library.  JSON
+artifacts are strict JSON: an undefined (NaN) or infinite value is null.
 
-Exit codes: 0 success, 2 config/usage error, 3 invalid or degenerate
-parameters, 4 a scan produced an empty feasible set.
+Exit codes: 0 success, 2 config/usage error (also an artifact or trace file
+that cannot be written), 3 invalid or degenerate parameters (also a
+negative seed), 4 a scan produced an empty feasible set.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,151 +31,139 @@ from .errors import (BaselineDegenerateError, ConfigError,
                      NonUniqueStationaryError)
 from .extortion import (ExtortionParams, build_extortion_strategy,
                         scan_extortion_region, verify_extortion_relation)
-from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
+from .markov import CollectorStrategy, ProviderStrategy
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       validate_ordering)
 from .pinning import (pinning_sensitivity_noise, pinning_sensitivity_strategy,
                       scan_pinning_region, solve_pinning)
 from .simulate import SimConfig, compare_to_analytic, play_rounds
 
-_GAME_KEYS = ("c_p", "c_c", "c_p1", "c_c1", "c_p2", "c_c2", "e1", "e2")
-_SECTIONS = {
-    "game": set(_GAME_KEYS),
-    "pinning": {"p1", "p4", "resolution"},
-    "extortion": {"l1", "l2", "chi", "phi", "phi_sign", "trials",
-                  "e1_grid", "e2_grid", "chi_probe"},
-    "simulation": {"rounds", "burn_in", "seed", "initial_state", "p", "q",
-                   "trace_path"},
-    "output": {"path", "format"},
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A JSON number that converts to float (NaN and infinity included)."""
+    return isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
+
+
+def _is_grid(v) -> bool:
+    if isinstance(v, list):
+        return len(v) >= 2 and all(map(_is_real, v))
+    return (isinstance(v, dict) and set(v) <= {"num", "min", "max"}
+            and _is_int(v.get("num")) and v["num"] >= 2 and "max" in v
+            and _is_real(v["max"]) and _is_real(v.get("min", 0.0)))
+
+
+def _real_list(n: int):
+    return (lambda v: isinstance(v, list) and len(v) == n
+            and all(map(_is_real, v)), f"a list of {n} numbers")
+
+
+_NUMBER = (_is_real, "a number")
+_INTEGER = (_is_int, "an integer")
+_GRID = (lambda v: v is None or _is_grid(v),
+         "a list of >= 2 numbers, an object {num: integer >= 2, "
+         "min: number, max: number}, or null")
+_PATH = (lambda v: v is None or isinstance(v, str), "a string or null")
+
+# section -> key -> (predicate, expected JSON type), applied by _load_config.
+_SCHEMA = {
+    "game": {f.name: _NUMBER for f in dataclasses.fields(GameParams)},
+    "pinning": {"p1": _NUMBER, "p4": _NUMBER, "resolution": _INTEGER},
+    "extortion": {
+        "l1": _NUMBER, "l2": _NUMBER, "chi": _NUMBER, "phi": _NUMBER,
+        "phi_sign": (lambda v: _is_int(v) and v in (1, -1),
+                     "the integer 1 or -1"),
+        "trials": _INTEGER, "e1_grid": _GRID, "e2_grid": _GRID,
+        "chi_probe": _NUMBER,
+    },
+    "simulation": {
+        "rounds": _INTEGER, "burn_in": _INTEGER, "seed": _INTEGER,
+        "initial_state": (lambda v: v in STATE_NAMES,
+                          "one of " + ", ".join(STATE_NAMES)),
+        "p": _real_list(4), "q": _real_list(2), "trace_path": _PATH,
+    },
+    "output": {"path": _PATH,
+               "format": (lambda v: v in (None, "csv", "json"),
+                          '"csv", "json" or null')},
 }
 
 
 def _load_config(path: str) -> dict:
+    """Read the config and type every key in it against `_SCHEMA`.
+
+    Sections set to null are dropped, so handlers see them as absent.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - set(_SECTIONS)
+    unknown = set(cfg) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, keys in _SECTIONS.items():
-        section = cfg.get(name)
-        if section is None:
-            continue
+    cfg = {name: section for name, section in cfg.items()
+           if section is not None}
+    for name, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"section '{name}' must be a JSON object")
-        bad = set(section) - keys
+        bad = set(section) - set(_SCHEMA[name])
         if bad:
             raise ConfigError(f"unknown keys in section '{name}': {sorted(bad)}")
-    if "game" not in cfg:
-        raise ConfigError("missing required section 'game'")
-    missing = set(_GAME_KEYS) - set(cfg["game"])
-    if missing:
-        raise ConfigError(f"missing game parameter keys: {sorted(missing)}")
+        for key, value in section.items():
+            check, expected = _SCHEMA[name][key]
+            if not check(value):
+                raise ConfigError(f"{name}.{key} must be {expected}, "
+                                  f"got {value!r}")
     return cfg
 
 
-def _number(section: dict, key: str, where: str, required: bool = True,
-            default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key '{key}' in section '{where}'")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' in section '{where}' must be a number")
-    return value
-
-
-def _section(cfg: dict, name: str) -> dict:
+def _require(cfg: dict, name: str, *keys: str) -> dict:
+    """Section `name` of a loaded config, holding every one of `keys`."""
     section = cfg.get(name)
     if section is None:
         raise ConfigError(f"command requires config section '{name}'")
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ConfigError(f"missing keys in section '{name}': {missing}")
     return section
 
 
-def _prob_vector(section: dict, key: str, where: str, length: int):
-    value = section.get(key)
-    if value is None:
-        raise ConfigError(f"missing key '{key}' in section '{where}'")
-    if (not isinstance(value, list) or len(value) != length
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in value)):
-        raise ConfigError(
-            f"key '{key}' in section '{where}' must be a list of "
-            f"{length} numbers"
-        )
-    return [float(x) for x in value]
-
-
-def _grid(section: dict, key: str):
-    value = section.get(key)
-    if value is None:
+def _grid(spec) -> np.ndarray:
+    """Noise axis from a typed e1_grid/e2_grid value."""
+    if spec is None:
         return np.linspace(0.0, 0.9, 10)
-    if isinstance(value, list):
-        if len(value) < 2 or any(isinstance(x, bool)
-                                 or not isinstance(x, (int, float))
-                                 for x in value):
-            raise ConfigError(f"'{key}' must be a list of >= 2 numbers")
-        return np.asarray([float(x) for x in value])
-    if isinstance(value, dict):
-        bad = set(value) - {"num", "min", "max"}
-        if bad:
-            raise ConfigError(f"unknown keys in '{key}': {sorted(bad)}")
-        num = value.get("num")
-        if not isinstance(num, int) or isinstance(num, bool) or num < 2:
-            raise ConfigError(f"'{key}.num' must be an integer >= 2")
-        lo = _number(value, "min", key, required=False, default=0.0)
-        hi = _number(value, "max", key, required=True)
-        return np.linspace(float(lo), float(hi), num)
-    raise ConfigError(f"'{key}' must be a list or a {{num, min, max}} object")
+    if isinstance(spec, list):
+        return np.asarray([float(x) for x in spec])
+    return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]),
+                       spec["num"])
 
 
-def _parse_game(cfg: dict) -> GameParams:
-    game = cfg["game"]
-    for key in _GAME_KEYS:
-        _number(game, key, "game")
-    return GameParams(**{k: float(game[k]) for k in _GAME_KEYS})
-
-
-def _output_target(args, cfg: dict):
-    out = cfg.get("output", {})
-    path = args.out or out.get("path")
-    fmt = args.format or out.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return path, fmt
-
-
-def _emit(artifact: str, path, summary: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(artifact)
-        print(summary)
-    else:
-        sys.stderr.write(summary + "\n")
-        sys.stdout.write(artifact)
-
-
-def _json_default(obj):
+def _strict(obj):
+    """`obj` as plain JSON data, with every non-finite float as None."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict(v) for v in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
-
-
-def _kv_csv(pairs) -> str:
-    return csv_text(["key", "value"], pairs)
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _enforce_ordering(params: GameParams) -> None:
@@ -182,7 +177,8 @@ def _enforce_ordering(params: GameParams) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers
+# Command handlers: each returns (summary, json_payload, csv, exit_code),
+# where csv is (key, value) pairs or a callable returning the CSV text.
 # --------------------------------------------------------------------------
 
 def _cmd_payoffs(args, cfg, params):
@@ -199,24 +195,16 @@ def _cmd_payoffs(args, cfg, params):
                  + ("data-valued" if report.data_valued else
                     "privacy-sensitive" if report.privacy_sensitive else
                     "balanced"))
-    summary = "\n".join(lines)
-    path, fmt = _output_target(args, cfg)
-    if fmt == "json":
-        artifact = _json_text({"payoffs": pv.as_dict(),
-                               "ordering": report.as_dict()})
-    else:
-        pairs = [(f"u_p_{STATE_NAMES[s]}", float(pv.u_p[s])) for s in StateIndex]
-        pairs += [(f"u_c_{STATE_NAMES[s]}", float(pv.u_c[s])) for s in StateIndex]
-        pairs += list(report.as_dict().items())
-        artifact = _kv_csv(pairs)
-    _emit(artifact, path, summary)
-    return 0
+    pairs = [(f"u_p_{STATE_NAMES[s]}", float(pv.u_p[s])) for s in StateIndex]
+    pairs += [(f"u_c_{STATE_NAMES[s]}", float(pv.u_c[s])) for s in StateIndex]
+    pairs += list(report.as_dict().items())
+    payload = {"payoffs": pv.as_dict(), "ordering": report.as_dict()}
+    return "\n".join(lines), payload, pairs, 0
 
 
 def _cmd_pin(args, cfg, params):
-    section = _section(cfg, "pinning")
-    p1 = float(_number(section, "p1", "pinning"))
-    p4 = float(_number(section, "p4", "pinning"))
+    section = _require(cfg, "pinning", "p1", "p4")
+    p1, p4 = float(section["p1"]), float(section["p4"])
     sol = solve_pinning(p1, p4, params)
     payload = sol.as_dict()
     if sol.feasible:
@@ -233,21 +221,11 @@ def _cmd_pin(args, cfg, params):
         summary = (f"pinning at p1={fmt_float(p1)}, p4={fmt_float(p4)}: "
                    f"INFEASIBLE ({sol.reason}); solved p2={fmt_float(sol.p2)}, "
                    f"p3={fmt_float(sol.p3)}.")
-    path, fmt = _output_target(args, cfg)
-    if fmt == "json":
-        artifact = _json_text(payload)
-    else:
-        artifact = _kv_csv(sorted(payload.items()))
-    _emit(artifact, path, summary)
-    return 0
+    return summary, payload, sorted(payload.items()), 0
 
 
 def _cmd_scan_pin(args, cfg, params):
-    section = cfg.get("pinning", {})
-    resolution = _number(section, "resolution", "pinning", required=False,
-                         default=101)
-    if not isinstance(resolution, int):
-        raise ConfigError("pinning.resolution must be an integer")
+    resolution = cfg.get("pinning", {}).get("resolution", 101)
     grid = scan_pinning_region(params, resolution=resolution, jobs=args.jobs)
     info = grid.summary()
     summary = (f"pinning scan {resolution}x{resolution}: "
@@ -256,35 +234,22 @@ def _cmd_scan_pin(args, cfg, params):
                   f"{fmt_float(info['s_c_max'])}] within "
                   f"[A={fmt_float(info['a_const'])}, B={fmt_float(info['b_const'])}]."
                   if info["feasible_cells"] else "feasible region is empty."))
-    path, fmt = _output_target(args, cfg)
-    artifact = grid.to_csv() if fmt == "csv" else _json_text(info)
-    _emit(artifact, path, summary)
-    return 0 if info["feasible_cells"] else 4
-
-
-def _parse_extortion(section, args, need_chi: bool):
-    l1 = float(_number(section, "l1", "extortion"))
-    l2 = float(_number(section, "l2", "extortion"))
-    chi = _number(section, "chi", "extortion", required=need_chi)
-    phi = _number(section, "phi", "extortion", required=False)
-    phi_sign = section.get("phi_sign", 1)
-    if phi_sign not in (1, -1):
-        raise ConfigError("extortion.phi_sign must be 1 or -1")
-    return l1, l2, chi, phi, phi_sign
+    return summary, info, grid.to_csv, 0 if info["feasible_cells"] else 4
 
 
 def _cmd_extort(args, cfg, params):
-    section = _section(cfg, "extortion")
-    l1, l2, chi, phi, phi_sign = _parse_extortion(section, args, need_chi=True)
-    ext = ExtortionParams(l1=l1, l2=l2, chi=float(chi),
+    section = _require(cfg, "extortion", "l1", "l2", "chi")
+    phi = section.get("phi")
+    ext = ExtortionParams(l1=float(section["l1"]), l2=float(section["l2"]),
+                          chi=float(section["chi"]),
                           phi=None if phi is None else float(phi),
-                          phi_sign=phi_sign)
+                          phi_sign=section.get("phi_sign", 1))
     sol = build_extortion_strategy(params, ext)
     payload = sol.as_dict()
-    trials = _number(section, "trials", "extortion", required=False, default=0)
+    trials = section.get("trials", 0)
     if sol.feasible and trials:
         seed = args.seed if args.seed is not None else 0
-        report = verify_extortion_relation(sol, params, ext, trials=int(trials),
+        report = verify_extortion_relation(sol, params, ext, trials=trials,
                                            rng=seed)
         payload["verification"] = report.as_dict()
         verified = (f"; relation verified over {report.trials} opponents, "
@@ -297,23 +262,18 @@ def _cmd_extort(args, cfg, params):
                f"{verdict}; p=({', '.join(fmt_float(x) for x in sol.p)}); "
                f"chi bounds [{fmt_float(sol.chi_lower)}, "
                f"{fmt_float(sol.chi_upper)}]{verified}.")
-    path, fmt = _output_target(args, cfg)
-    if fmt == "json":
-        artifact = _json_text(payload)
-    else:
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
-        flat.update({f"p{i+1}": x for i, x in enumerate(sol.p)})
-        artifact = _kv_csv(sorted(flat.items()))
-    _emit(artifact, path, summary)
-    return 0
+    flat = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
+    flat.update({f"p{i+1}": x for i, x in enumerate(sol.p)})
+    return summary, payload, sorted(flat.items()), 0
 
 
 def _cmd_scan_extort(args, cfg, params):
-    section = _section(cfg, "extortion")
-    l1, l2, _, _, phi_sign = _parse_extortion(section, args, need_chi=False)
-    chi_probe = _number(section, "chi_probe", "extortion", required=False)
-    e1_grid = _grid(section, "e1_grid")
-    e2_grid = _grid(section, "e2_grid")
+    section = _require(cfg, "extortion", "l1", "l2")
+    l1, l2 = float(section["l1"]), float(section["l2"])
+    phi_sign = section.get("phi_sign", 1)
+    chi_probe = section.get("chi_probe")
+    e1_grid = _grid(section.get("e1_grid"))
+    e2_grid = _grid(section.get("e2_grid"))
     grid = scan_extortion_region(params, l1, l2, e1_grid, e2_grid,
                                  phi_sign=phi_sign,
                                  chi_probe=None if chi_probe is None
@@ -324,10 +284,7 @@ def _cmd_scan_extort(args, cfg, params):
                f"(l1={fmt_float(l1)}, l2={fmt_float(l2)}, phi_sign={phi_sign:+d}): "
                f"{info['feasible_cells']} of {info['cells']} cells admit a "
                f"feasible extortion factor.")
-    path, fmt = _output_target(args, cfg)
-    artifact = grid.to_csv() if fmt == "csv" else _json_text(info)
-    _emit(artifact, path, summary)
-    return 0 if info["feasible_cells"] else 4
+    return summary, info, grid.to_csv, 0 if info["feasible_cells"] else 4
 
 
 def _cmd_check_collector(args, cfg, params):
@@ -337,58 +294,38 @@ def _cmd_check_collector(args, cfg, params):
              f"{'infeasible for collector' if pin_cert.holds else 'NOT RULED OUT'} "
              f"(u_p(CC)={fmt_float(pin_cert.lhs)} vs "
              f"u_p(CD)={fmt_float(pin_cert.rhs)}, gap {fmt_float(pin_cert.gap)})"]
-    section = cfg.get("extortion")
-    if section is not None:
-        l1 = float(_number(section, "l1", "extortion"))
-        l2 = float(_number(section, "l2", "extortion"))
-        ext_cert = check_collector_extortion(params, l1, l2)
+    if "extortion" in cfg:
+        section = _require(cfg, "extortion", "l1", "l2")
+        ext_cert = check_collector_extortion(params, float(section["l1"]),
+                                             float(section["l2"]))
         payload["extortion"] = ext_cert.as_dict()
         lines.append(
             f"collector extortion: "
             f"{'infeasible for collector' if ext_cert.holds else 'NOT RULED OUT'} "
             f"(ratio {fmt_float(ext_cert.lhs)} vs {fmt_float(ext_cert.rhs)}, "
             f"gap {fmt_float(ext_cert.gap)})")
-    summary = "\n".join(lines)
-    path, fmt = _output_target(args, cfg)
-    if fmt == "json":
-        artifact = _json_text(payload)
-    else:
-        pairs = []
-        for kind, cert in payload.items():
-            pairs += [(f"{kind}_{k}", v) for k, v in cert.items()
-                      if not isinstance(v, (list, dict)) and v is not None]
-        artifact = _kv_csv(pairs)
-    _emit(artifact, path, summary)
-    return 0
+    pairs = []
+    for kind, cert in payload.items():
+        pairs += [(f"{kind}_{k}", v) for k, v in cert.items()
+                  if not isinstance(v, (list, dict)) and v is not None]
+    return "\n".join(lines), payload, pairs, 0
 
 
 def _cmd_simulate(args, cfg, params):
-    section = _section(cfg, "simulation")
-    rounds = _number(section, "rounds", "simulation")
-    if not isinstance(rounds, int):
-        raise ConfigError("simulation.rounds must be an integer")
-    burn_in = _number(section, "burn_in", "simulation", required=False, default=0)
-    if not isinstance(burn_in, int):
-        raise ConfigError("simulation.burn_in must be an integer")
-    seed = args.seed if args.seed is not None else _number(
-        section, "seed", "simulation", required=False, default=0)
-    if not isinstance(seed, int):
-        raise ConfigError("simulation.seed must be an integer")
+    section = _require(cfg, "simulation", "rounds", "p", "q")
+    rounds = section["rounds"]
+    burn_in = section.get("burn_in", 0)
+    seed = args.seed if args.seed is not None else section.get("seed", 0)
     initial = section.get("initial_state", "CC")
-    if initial not in STATE_NAMES:
-        raise ConfigError(f"simulation.initial_state must be one of {STATE_NAMES}")
-    p = ProviderStrategy(*_prob_vector(section, "p", "simulation", 4))
-    q = CollectorStrategy(*_prob_vector(section, "q", "simulation", 2))
+    p = ProviderStrategy(*map(float, section["p"]))
+    q = CollectorStrategy(*map(float, section["q"]))
     config = SimConfig(params=params, p=p, q=q, rounds=rounds,
                        burn_in=burn_in, seed=seed,
                        initial_state=StateIndex[initial])
     trace_path = section.get("trace_path")
-    if trace_path is not None and not isinstance(trace_path, str):
-        raise ConfigError("simulation.trace_path must be a string")
     if trace_path:
         result, trace = play_rounds(config, collect_trace=True)
-        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(trace.to_csv())
+        _write(trace_path, trace.to_csv())
     else:
         result = play_rounds(config)
     payload = {"config": {"rounds": rounds, "burn_in": burn_in, "seed": seed,
@@ -409,18 +346,12 @@ def _cmd_simulate(args, cfg, params):
                f"s_p={fmt_float(result.s_p)} +/- {fmt_float(result.se_s_p)}, "
                f"s_c={fmt_float(result.s_c)} +/- {fmt_float(result.se_s_c)}; "
                f"frequencies {freqs}{compared}.")
-    path, fmt = _output_target(args, cfg)
-    if fmt == "json":
-        artifact = _json_text(payload)
-    else:
-        pairs = [("s_p", result.s_p), ("se_s_p", result.se_s_p),
-                 ("s_c", result.s_c), ("se_s_c", result.se_s_c)]
-        pairs += [(f"freq_{STATE_NAMES[k]}", float(result.state_frequencies[k]))
-                  for k in range(4)]
-        pairs.append(("rounds_used", result.rounds_used))
-        artifact = _kv_csv(pairs)
-    _emit(artifact, path, summary)
-    return 0
+    pairs = [("s_p", result.s_p), ("se_s_p", result.se_s_p),
+             ("s_c", result.s_c), ("se_s_c", result.se_s_c)]
+    pairs += [(f"freq_{STATE_NAMES[k]}", float(result.state_frequencies[k]))
+              for k in range(4)]
+    pairs.append(("rounds_used", result.rounds_used))
+    return summary, payload, pairs, 0
 
 
 _HANDLERS = {
@@ -474,10 +405,26 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        params = _parse_game(cfg)
+        params = GameParams.from_mapping(
+            _require(cfg, "game", *_SCHEMA["game"]))
         if args.strict_ordering:
             _enforce_ordering(params)
-        return _HANDLERS[args.command](args, cfg, params)
+        summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
+        output = cfg.get("output", {})
+        if (args.format or output.get("format") or "csv") == "json":
+            text = json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
+        elif callable(csv):
+            text = csv()
+        else:
+            text = csv_text(["key", "value"], csv)
+        path = args.out or output.get("path")
+        if path:
+            _write(path, text)
+            print(summary)
+        else:
+            sys.stderr.write(summary + "\n")
+            sys.stdout.write(text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,11 @@ REASON_DEGENERATE_DENOM = "baseline_equals_payoff_entry"
 REASON_NO_CHI = "no_chi_above_1"
 
 
+def _check_phi_sign(phi_sign) -> None:
+    if phi_sign not in (1, -1):
+        raise InvalidParameterError(f"phi_sign must be +1 or -1, got {phi_sign!r}")
+
+
 @dataclass(frozen=True)
 class ExtortionParams:
     """Baselines and shape of the enforced payoff relation.
@@ -67,8 +72,8 @@ class ExtortionParams:
             if not np.isfinite(self.phi) or self.phi == 0:
                 raise InvalidParameterError(f"phi must be nonzero, got {self.phi!r}")
             object.__setattr__(self, "phi_sign", 1 if self.phi > 0 else -1)
-        elif self.phi_sign not in (1, -1):
-            raise InvalidParameterError("phi_sign must be +1 or -1")
+        else:
+            _check_phi_sign(self.phi_sign)
 
 
 class ChiBounds(NamedTuple):
@@ -85,6 +90,7 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
     Raises BaselineDegenerateError when a needed denominator u_c(state) - l2
     is within 1e-12 of zero.
     """
+    _check_phi_sign(phi_sign)
     pv = build_payoffs(params)
     lo_state, hi_state = (0, 3) if phi_sign > 0 else (2, 1)
     out = []
@@ -111,8 +117,12 @@ def _row_constraints(u_p, u_c, l1, l2, e2, phi_sign):
     Rows CC/DC constrain their own strategy entries directly; rows CD/DD
     constrain p2/p4 after removing the e2-weighted share of p1/p3, hence
     the mixed coefficients.  sign=-1 means 'must be <= 0' for phi > 0;
-    everything flips for phi < 0.
+    everything flips for phi < 0.  Raises for e2 = 1, where the mixed rows
+    leave p2/p4 undetermined.
     """
+    _check_phi_sign(phi_sign)
+    if e2 >= 1.0:
+        raise DegenerateParameterError("e2 = 1 is degenerate")
     a = u_p - l1
     b = u_c - l2
     conds = [
@@ -137,8 +147,6 @@ def chi_feasible_interval(params: GameParams, l1: float, l2: float,
     not apply.  Returns (nan, nan, False) when empty; endpoints may be
     +/-inf.
     """
-    if params.e2 >= 1.0:
-        raise DegenerateParameterError("e2 = 1 is degenerate")
     pv = build_payoffs(params)
     lo, hi = -math.inf, math.inf
     for alpha, beta, sign in _row_constraints(pv.u_p, pv.u_c, l1, l2,
@@ -164,8 +172,6 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     For phi > 0 the interval is (0, phi_max]; for phi < 0 it is
     [-phi_max, 0).  phi_max may be inf when no row binds.
     """
-    if params.e2 >= 1.0:
-        raise DegenerateParameterError("e2 = 1 is degenerate")
     pv = build_payoffs(params)
     e2 = params.e2
     # Slack budget of each row: mixed rows (CD, DD) only move p2/p4 by
@@ -226,8 +232,6 @@ def build_extortion_strategy(params: GameParams,
     is used (falling back to phi_sign * 1.0 if that range is empty, so
     the caller still sees the infeasible row values).
     """
-    if params.e2 >= 1.0:
-        raise DegenerateParameterError("e2 = 1 is degenerate")
     phi = ext.phi
     phi_range = phi_feasible_interval(params, ext.l1, ext.l2, ext.chi,
                                       ext.phi_sign)
@@ -283,6 +287,8 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
         raise InvalidParameterError("cannot verify an infeasible solution")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {rng!r}")
     rng = np.random.default_rng(rng)
     strategy = sol.strategy
     max_residual = 0.0
@@ -359,8 +365,8 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     compatibility only: the scan runs in one thread and its output does
     not depend on it.
     """
-    for name, v in (("l1", l1), ("l2", l2)):
-        if not math.isfinite(v):
+    for name, v in (("l1", l1), ("l2", l2), ("chi_probe", chi_probe)):
+        if v is not None and not math.isfinite(v):
             raise InvalidParameterError(f"{name} must be finite, got {v!r}")
     e1_axis = np.asarray(e1_grid, dtype=float)
     e2_axis = np.asarray(e2_grid, dtype=float)

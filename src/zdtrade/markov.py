@@ -186,8 +186,9 @@ def stationary_distribution(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise InvalidParameterError("transition matrix must be 4x4")
-    if np.any(m < -1e-12) or np.any(m > 1 + 1e-12):
-        raise InvalidParameterError("transition probabilities must lie in [0, 1]")
+    if not np.all((m >= -1e-12) & (m <= 1 + 1e-12)):
+        raise InvalidParameterError(
+            "transition probabilities must be finite and lie in [0, 1]")
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
         raise InvalidParameterError("transition matrix rows must sum to 1")
     return stationary_distributions(m[None])[0]

@@ -53,7 +53,17 @@ def _pinning_constants(params: GameParams):
     b = float(u_c[0])
     a = float((u_c[3] - params.e2 * u_c[2]) / (1 - params.e2))
     d1 = float(u_c[0] - u_c[3] - params.e2 * (u_c[0] - u_c[2]))
+    if abs(d1) <= 1e-12:
+        raise DegenerateParameterError(
+            f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
+        )
     return u_c, a, b, d1
+
+
+def _check_free_entries(p1: float, p4: float) -> None:
+    for name, v in (("p1", p1), ("p4", p4)):
+        if not np.isfinite(v) or not 0.0 <= v <= 1.0:
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +120,8 @@ def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:
 
     Raises DegenerateParameterError when e2 = 1 or |D1| <= 1e-12.
     """
-    for name, v in (("p1", p1), ("p4", p4)):
-        if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+    _check_free_entries(p1, p4)
     u_c, a, b, d1 = _pinning_constants(params)
-    if abs(d1) <= 1e-12:
-        raise DegenerateParameterError(
-            f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
-        )
     e2 = params.e2
     p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
           + (u_c[0] - u_c[1]) * (1 + p4)) / d1
@@ -175,6 +179,7 @@ def pinning_sensitivity_noise(p1: float, p4: float,
     with w = (1 - p1) / (1 - p1 + p4).  More data noise always hurts the
     collector; more identity masking always helps him.
     """
+    _check_free_entries(p1, p4)
     if params.e2 >= 1.0:
         raise DegenerateParameterError("e2 = 1 is degenerate")
     denom = 1 - p1 + p4
@@ -272,10 +277,6 @@ def scan_pinning_region(params: GameParams, resolution: int = 101,
     if resolution < 2:
         raise InvalidParameterError("resolution must be at least 2")
     u_c, a, b, d1 = _pinning_constants(params)
-    if abs(d1) <= 1e-12:
-        raise DegenerateParameterError(
-            f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
-        )
     axis = np.linspace(0.0, 1.0, resolution)
     p2, p3, pinned, feasible, code = _scan_rows(axis, u_c, a, b, d1, params.e2)
     return PinningGrid(

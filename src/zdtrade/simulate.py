@@ -53,6 +53,8 @@ class SimConfig:
             raise InvalidParameterError("rounds must be >= 1")
         if not 0 <= self.burn_in < self.rounds:
             raise InvalidParameterError("burn_in must satisfy 0 <= burn_in < rounds")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

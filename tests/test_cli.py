@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zdtrade.cli import main
+from zdtrade.cli import _SCHEMA, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -305,3 +305,66 @@ def test_simulate_initial_state_from_config(tmp_path, capsys):
                                    "initial_state": "XX",
                                    "p": [0.6, 0.5, 0.4, 0.3], "q": [0.5, 0.5]})
     assert main(["simulate", "--config", bad]) == 2
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "dir"
+    cfg = write_config(tmp_path, pinning={"resolution": 5})
+    out_file = missing / "x.csv"
+    assert main(["scan-pin", "--config", cfg, "--out", str(out_file)]) == 2
+    assert f"cannot write {out_file}" in capsys.readouterr().err
+    trace = missing / "t.csv"
+    cfg = write_config(tmp_path, name="sim.json",
+                       simulation={"rounds": 100, "p": [0.5] * 4, "q": [0.5] * 2,
+                                   "trace_path": str(trace)})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert f"cannot write {trace}" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path,
+                       simulation={"rounds": 100, "p": [0.5] * 4, "q": [0.5] * 2},
+                       extortion={"l1": 1, "l2": 2, "chi": 1.5, "trials": 10})
+    assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 3
+    assert "seed" in capsys.readouterr().err
+    assert main(["extort", "--config", cfg, "--seed", "-1"]) == 3
+    assert "seed" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command, section", [
+    ("pin", {"pinning": {"p1": 1, "p4": 0}}),              # pinned value 0/0
+    ("extort", {"extortion": {"l1": 1, "l2": 5, "chi": 1.5}}),  # l2 = u_c(CC)
+])
+def test_json_artifacts_are_strict(tmp_path, capsys, command, section):
+    cfg = write_config(tmp_path, **section)
+    out_file = tmp_path / "artifact.json"
+    assert main([command, "--config", cfg, "--format", "json",
+                 "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+    undefined = "pinned_s_c" if command == "pin" else "chi_lower"
+    assert payload[undefined] is None
+
+
+_WRONG_TYPES = [(section, key, True) for section, keys in _SCHEMA.items()
+                for key in keys]
+_WRONG_TYPES += [("output", "path", 2), ("extortion", "trials", 2.7),
+                 ("extortion", "trials", float("nan")),
+                 ("extortion", "phi_sign", 1.0),
+                 pytest.param("game", "c_p", 10 ** 400, id="beyond-float-range")]
+
+
+@pytest.mark.parametrize("section, key, value", _WRONG_TYPES)
+def test_schema_rejects_wrong_type_in_any_section(tmp_path, capsys, section,
+                                                  key, value):
+    # payoffs reads only the game section: a wrongly typed key fails anyway
+    cfg = write_config(tmp_path)
+    raw = json.loads((tmp_path / "cfg.json").read_text())
+    raw.setdefault(section, {})[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["payoffs", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err

@@ -187,6 +187,10 @@ def test_verify_refuses_infeasible(base_params):
     with pytest.raises(InvalidParameterError):
         verify_extortion_relation(bad, base_params,
                                   ExtortionParams(l1=1, l2=2, chi=1.5, phi=5.0))
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    good = build_extortion_strategy(base_params, ext)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
 
 
 def test_sign_coherence_provider_gets_larger_share(base_params):
@@ -200,7 +204,7 @@ def test_sign_coherence_provider_gets_larger_share(base_params):
     assert np.all(s_c - 2 >= -1e-9)
 
 
-def test_params_validation():
+def test_params_validation(base_params):
     with pytest.raises(InvalidParameterError):
         ExtortionParams(l1=0, l2=2, chi=1.5)
     with pytest.raises(InvalidParameterError):
@@ -211,6 +215,10 @@ def test_params_validation():
         ExtortionParams(l1=1, l2=2, chi=1.5, phi=0.0)
     with pytest.raises(InvalidParameterError):
         ExtortionParams(l1=1, l2=2, chi=1.5, phi_sign=0)
+    # 0 is neither sign: both functions refuse it instead of picking a side
+    for check in (chi_bounds, chi_feasible_interval):
+        with pytest.raises(InvalidParameterError, match="phi_sign"):
+            check(base_params, 1, 2, 0)
     assert ExtortionParams(l1=1, l2=2, chi=1.5, phi=-0.2).phi_sign == -1
 
 
@@ -317,6 +325,10 @@ def test_scan_grid_validation(base_params):
     for l1, l2 in ((math.nan, 2), (1, math.nan), (math.inf, 2)):
         with pytest.raises(InvalidParameterError):
             scan_extortion_region(base_params, l1, l2, axis, axis)
+    for chi_probe in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="chi_probe"):
+            scan_extortion_region(base_params, 1, 2, axis, axis,
+                                  chi_probe=chi_probe)
     with pytest.raises(InvalidParameterError):
         scan_extortion_region(base_params, 1, 2, np.array([0.5]), np.array([0.1, 0.2]))
     with pytest.raises(InvalidParameterError):

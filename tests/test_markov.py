@@ -182,6 +182,10 @@ def test_stationary_input_validation():
     bad = np.full((4, 4), 0.3)
     with pytest.raises(InvalidParameterError):
         stationary_distribution(bad)
+    nan_entry = np.full((4, 4), 0.25)
+    nan_entry[1, 2] = np.nan
+    with pytest.raises(InvalidParameterError):
+        stationary_distribution(nan_entry)
 
 
 # --- determinant form ------------------------------------------------------

@@ -139,6 +139,10 @@ def test_noise_sensitivity_values(base_params):
     ds_de1, ds_de2 = pinning_sensitivity_noise(0.9, 0.1, base_params)
     assert ds_de1 == pytest.approx(-4.5, abs=1e-12)
     assert ds_de2 == pytest.approx(2.8, abs=1e-12)
+    # free entries are checked as in solve_pinning
+    for p1, p4 in ((2.0, 0.1), (0.9, -0.1), (np.nan, 0.1)):
+        with pytest.raises(InvalidParameterError):
+            pinning_sensitivity_noise(p1, p4, base_params)
 
 
 def test_noise_sensitivity_matches_finite_differences(base_params):

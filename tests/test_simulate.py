@@ -225,6 +225,8 @@ def test_config_validation(base_params):
         SimConfig(params=base_params, p=p, q=q, rounds=0, seed=1)
     with pytest.raises(InvalidParameterError):
         SimConfig(params=base_params, p=p, q=q, rounds=100, seed=1, burn_in=100)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        SimConfig(params=base_params, p=p, q=q, rounds=100, seed=-1)
 
 
 def test_payoff_average_agrees_with_dot_product(mixed_config):
