@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from ._text import csv_text, fmt_float
+from ._text import csv_text, fmt_float, table
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (BaselineDegenerateError, ConfigError,
                      DegenerateParameterError, InvalidParameterError,
@@ -262,9 +262,8 @@ def _cmd_extort(args, cfg, params):
                f"{verdict}; p=({', '.join(fmt_float(x) for x in sol.p)}); "
                f"chi bounds [{fmt_float(sol.chi_lower)}, "
                f"{fmt_float(sol.chi_upper)}]{verified}.")
-    flat = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
-    flat.update({f"p{i+1}": x for i, x in enumerate(sol.p)})
-    return summary, payload, sorted(flat.items()), 0
+    pairs = dict(payload, **{f"p{i+1}": x for i, x in enumerate(sol.p)})
+    return summary, payload, sorted(pairs.items()), 0
 
 
 def _cmd_scan_extort(args, cfg, params):
@@ -304,10 +303,8 @@ def _cmd_check_collector(args, cfg, params):
             f"{'infeasible for collector' if ext_cert.holds else 'NOT RULED OUT'} "
             f"(ratio {fmt_float(ext_cert.lhs)} vs {fmt_float(ext_cert.rhs)}, "
             f"gap {fmt_float(ext_cert.gap)})")
-    pairs = []
-    for kind, cert in payload.items():
-        pairs += [(f"{kind}_{k}", v) for k, v in cert.items()
-                  if not isinstance(v, (list, dict)) and v is not None]
+    pairs = [(f"{kind}_{k}", v) for kind, cert in payload.items()
+             for k, v in cert.items()]
     return "\n".join(lines), payload, pairs, 0
 
 
@@ -416,7 +413,9 @@ def main(argv=None) -> int:
         elif callable(csv):
             text = csv()
         else:
-            text = csv_text(["key", "value"], csv)
+            keys, values = zip(*[(k, v) for k, v in csv if v is not None
+                                 and not isinstance(v, (list, dict))])
+            text = csv_text(["key", "value"], [table(keys), table(values)])
         path = args.out or output.get("path")
         if path:
             _write(path, text)

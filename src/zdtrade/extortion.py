@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._text import csv_text
+from ._text import csv_text, grid_axes
 from .errors import (BaselineDegenerateError, DegenerateParameterError,
                      InvalidParameterError)
 from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
@@ -38,6 +38,10 @@ FEAS_TOL = 1e-9
 
 REASON_DEGENERATE_DENOM = "baseline_equals_payoff_entry"
 REASON_NO_CHI = "no_chi_above_1"
+
+# A verification pass holds all its draws at once, ~380 bytes per trial at
+# peak (tracemalloc, 1e5-4e5 trials), so this keeps one call under 2 GB.
+MAX_TRIALS = 5_000_000
 
 
 def _check_phi_sign(phi_sign) -> None:
@@ -285,8 +289,8 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     """
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if isinstance(rng, (int, np.integer)) and rng < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {rng!r}")
     rng = np.random.default_rng(rng)
@@ -328,15 +332,11 @@ class ExtortionGrid:
     def feasible_count(self) -> int:
         return int(self.feasible.sum())
 
-    def rows(self):
-        for i, e1 in enumerate(self.e1_axis):
-            for j, e2 in enumerate(self.e2_axis):
-                yield (float(e1), float(e2), float(self.chi_lower[i, j]),
-                       float(self.chi_upper[i, j]), bool(self.feasible[i, j]))
-
     def to_csv(self) -> str:
         return csv_text(["e1", "e2", "chi_lower", "chi_upper", "feasible"],
-                        self.rows())
+                        [*grid_axes(self.e1_axis, self.e2_axis),
+                         self.chi_lower.ravel(), self.chi_upper.ravel(),
+                         self.feasible.ravel()])
 
     def summary(self) -> dict:
         feas = self.feasible

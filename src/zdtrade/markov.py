@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import csv_text
+from ._text import csv_text, table
 from .errors import InvalidParameterError, NonUniqueStationaryError
 from .payoffs import GameParams, STATE_NAMES, StateIndex, build_payoffs
 
@@ -332,8 +332,7 @@ def zd_determinant(cols: ZdColumns, f) -> float:
 def matrix_to_csv(m) -> str:
     """CSV with one row per previous state: header state,CC,CD,DC,DD."""
     m = np.asarray(m, dtype=float)
-    rows = [[STATE_NAMES[i]] + [float(x) for x in m[i]] for i in range(4)]
-    return csv_text(["state"] + list(STATE_NAMES), rows)
+    return csv_text(["state"] + list(STATE_NAMES), [table(STATE_NAMES), *m.T])
 
 
 def matrix_to_json(m) -> list:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._text import csv_text
+from ._text import csv_text, grid_axes
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
 from .payoffs import GameParams, build_payoffs
@@ -217,17 +217,11 @@ class PinningGrid:
     def reason(self, i: int, j: int) -> str | None:
         return _REASON_CODES[int(self.reason_code[i, j])]
 
-    def rows(self):
-        """Row-major cell tuples (p1, p4, feasible, p2, p3, s_c_pinned)."""
-        for i, p1 in enumerate(self.p1_axis):
-            for j, p4 in enumerate(self.p4_axis):
-                yield (float(p1), float(p4), bool(self.feasible[i, j]),
-                       float(self.p2[i, j]), float(self.p3[i, j]),
-                       float(self.pinned_s_c[i, j]))
-
     def to_csv(self) -> str:
         return csv_text(["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
-                        self.rows())
+                        [*grid_axes(self.p1_axis, self.p4_axis),
+                         self.feasible.ravel(), self.p2.ravel(),
+                         self.p3.ravel(), self.pinned_s_c.ravel()])
 
     def summary(self) -> dict:
         feas = self.feasible

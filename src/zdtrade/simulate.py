@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._text import csv_text
+from ._text import csv_text, table
 from .errors import InvalidParameterError
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
 from .payoffs import GameParams, STATE_NAMES, StateIndex, build_payoffs
@@ -97,20 +97,14 @@ class Trace:
                 collector_payoff=float(self.u_c[t]),
             )
 
-    def rows(self):
-        ob = np.where(self.provider_obs_g, "g", "b")
-        ac = np.where(self.provider_coop, "C", "D")
-        cob = np.where(self.collector_obs_g, "g", "b")
-        cac = np.where(self.collector_coop, "C", "D")
-        for t in range(len(self)):
-            yield (t + 1, STATE_NAMES[int(self.prev_state[t])], ob[t], ac[t],
-                   cob[t], cac[t], float(self.u_p[t]), float(self.u_c[t]))
-
     def to_csv(self) -> str:
         return csv_text(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
-            self.rows(),
+            [np.arange(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
+             table("bg", self.provider_obs_g), table("DC", self.provider_coop),
+             table("bg", self.collector_obs_g), table("DC", self.collector_coop),
+             self.u_p, self.u_c],
         )
 
 

@@ -102,6 +102,20 @@ def test_pin_json_artifact(tmp_path, capsys):
     assert "feasible" in summary
 
 
+def test_pin_csv_omits_undefined_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, pinning={"p1": 0.9, "p4": 0.1})
+    assert main(["pin", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert "None" not in text
+    assert "feasible,true" in text.splitlines()
+    assert not any(line.startswith("reason,") for line in text.splitlines())
+    cfg = write_config(tmp_path, pinning={"p1": 1, "p4": 0})
+    assert main(["pin", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "reason,pinned_value_undefined_at_p1_1_p4_0" in lines
+    assert "feasible,false" in lines
+
+
 def test_scan_pin_csv_rows_and_exit(tmp_path, capsys):
     cfg = write_config(tmp_path, pinning={"resolution": 101})
     out_file = tmp_path / "grid.csv"
@@ -329,6 +343,13 @@ def test_negative_seed_exit_3(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     assert main(["extort", "--config", cfg, "--seed", "-1"]) == 3
     assert "seed" in capsys.readouterr().err
+
+
+def test_extort_trials_beyond_ceiling_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2, "chi": 1.5,
+                                            "trials": 10**30})
+    assert main(["extort", "--config", cfg]) == 3
+    assert "trials" in capsys.readouterr().err
 
 
 def _reject_constant(name):

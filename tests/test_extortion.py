@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      expected_payoffs_many, phi_feasible_interval,
                      reducible_mask, scan_extortion_region,
                      verify_extortion_relation)
+from zdtrade.extortion import MAX_TRIALS
 
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
@@ -191,6 +193,21 @@ def test_verify_refuses_infeasible(base_params):
     good = build_extortion_strategy(base_params, ext)
     with pytest.raises(InvalidParameterError, match="seed"):
         verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
+
+
+@pytest.mark.parametrize("trials", [10**30, MAX_TRIALS + 1])
+def test_verify_refuses_trials_above_ceiling_before_drawing(base_params, trials):
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = build_extortion_strategy(base_params, ext)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="trials"):
+            verify_extortion_relation(sol, base_params, ext, trials=trials,
+                                      rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sign_coherence_provider_gets_larger_share(base_params):

@@ -1,0 +1,133 @@
+"""The column-wise CSV formatter against per-value reference formatting."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zdtrade._text as text_mod
+from zdtrade import (ProviderStrategy, matrix_to_csv, scan_extortion_region,
+                     scan_pinning_region)
+from zdtrade._text import csv_text, table
+from zdtrade.markov import CollectorStrategy
+from zdtrade.payoffs import STATE_NAMES
+from zdtrade.simulate import SimConfig, play_rounds
+
+
+# Reference: one value at a time, as CSV artifacts were first written.
+def ref_value(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return "nan" if math.isnan(x) else f"{x:.12g}"
+    return str(x)
+
+
+def ref_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(ref_value(f) for f in r) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                  -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+                  1e12, 123456789012345.0, -1e16, 2.0 ** 60]
+
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                   st.floats(allow_nan=True, allow_infinity=True))
+INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
+STRS = st.text(st.characters(blacklist_categories=("Cs",),
+                             blacklist_characters="\x00"), max_size=6)
+KINDS = {"float": (FLOATS, float), "bool": (st.booleans(), bool),
+         "int": (INTS, np.int64), "str": (STRS, str)}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
+                          max_size=6))
+    return [(kind, draw(st.lists(KINDS[kind][0], min_size=n, max_size=n)))
+            for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=tables(), block_rows=st.sampled_from([1, 3, 4096]))
+def test_columns_match_per_value_formatting(columns, block_rows):
+    header = [f"c{i}" for i in range(len(columns))]
+    arrays = [np.array(values, dtype=KINDS[kind][1]) for kind, values in columns]
+    expected_cells = {
+        "float": lambda x: f"{x:.12g}",
+        "bool": lambda x: "true" if x else "false",
+        "int": str, "str": str,
+    }
+    rows = zip(*[[expected_cells[kind](v) for v in values]
+                 for kind, values in columns])
+    expected = "".join(",".join(r) + "\n" for r in [header, *rows])
+    saved = text_mod.BLOCK_ROWS
+    text_mod.BLOCK_ROWS = block_rows
+    try:
+        assert csv_text(header, arrays) == expected
+    finally:
+        text_mod.BLOCK_ROWS = saved
+
+
+def test_table_columns_format_each_name_by_its_type():
+    values = (1.5, True, 7, "x", -0.0, math.nan)
+    assert csv_text(["v"], [table(values)]) == "v\n1.5\ntrue\n7\nx\n-0\nnan\n"
+    assert csv_text(["s"], [table(STATE_NAMES, [3, 0, 3])]) == "s\nDD\nCC\nDD\n"
+
+
+def test_pinning_grid_matches_reference(base_params):
+    grid = scan_pinning_region(base_params, resolution=37)
+    assert np.isnan(grid.pinned_s_c[-1, 0])   # the 0/0 corner
+    rows = ((float(p1), float(p4), bool(grid.feasible[i, j]),
+             float(grid.p2[i, j]), float(grid.p3[i, j]),
+             float(grid.pinned_s_c[i, j]))
+            for i, p1 in enumerate(grid.p1_axis)
+            for j, p4 in enumerate(grid.p4_axis))
+    assert grid.to_csv() == ref_csv(
+        ["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"], rows)
+
+
+def test_extortion_grid_with_degenerate_cells_matches_reference(base_params):
+    axis = np.linspace(0.0, 0.9, 10)
+    grid = scan_extortion_region(base_params, 1, 1.8, axis, axis,
+                                 chi_probe=1.5)
+    degenerate = int(np.isnan(grid.chi_lower).sum())
+    assert 0 < degenerate < grid.chi_lower.size
+    rows = ((float(e1), float(e2), float(grid.chi_lower[i, j]),
+             float(grid.chi_upper[i, j]), bool(grid.feasible[i, j]))
+            for i, e1 in enumerate(grid.e1_axis)
+            for j, e2 in enumerate(grid.e2_axis))
+    assert grid.to_csv() == ref_csv(
+        ["e1", "e2", "chi_lower", "chi_upper", "feasible"], rows)
+
+
+def test_trace_matches_reference(base_params):
+    config = SimConfig(params=base_params,
+                       p=ProviderStrategy(0.9, 0.78, 0.08, 0.1),
+                       q=CollectorStrategy(0.3, 0.7), rounds=5000, seed=11)
+    _, trace = play_rounds(config, collect_trace=True)
+    ob = np.where(trace.provider_obs_g, "g", "b")
+    ac = np.where(trace.provider_coop, "C", "D")
+    cob = np.where(trace.collector_obs_g, "g", "b")
+    cac = np.where(trace.collector_coop, "C", "D")
+    rows = ((t + 1, STATE_NAMES[int(trace.prev_state[t])], ob[t], ac[t],
+             cob[t], cac[t], float(trace.u_p[t]), float(trace.u_c[t]))
+            for t in range(len(trace)))
+    assert trace.to_csv() == ref_csv(
+        ["round", "prev_state", "provider_obs", "provider_action",
+         "collector_obs", "collector_action", "u_p", "u_c"], rows)
+
+
+@pytest.mark.parametrize("m", [
+    np.full((4, 4), 0.25),
+    np.array([[math.nan, -0.0, 1e300, 5e-324]] * 4),
+])
+def test_matrix_csv_matches_reference(m):
+    rows = [[STATE_NAMES[i]] + [float(x) for x in m[i]] for i in range(4)]
+    assert matrix_to_csv(m) == ref_csv(["state"] + list(STATE_NAMES), rows)
