@@ -31,7 +31,7 @@ from ._text import csv_text, grid_axes
 from .errors import (BaselineDegenerateError, DegenerateParameterError,
                      InvalidParameterError)
 from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
-from .payoffs import GameParams, build_payoffs
+from .payoffs import GameParams, build_payoffs, payoff_arrays
 
 DENOM_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -39,8 +39,9 @@ FEAS_TOL = 1e-9
 REASON_DEGENERATE_DENOM = "baseline_equals_payoff_entry"
 REASON_NO_CHI = "no_chi_above_1"
 
-# A verification pass holds all its draws at once, ~380 bytes per trial at
-# peak (tracemalloc, 1e5-4e5 trials), so this keeps one call under 2 GB.
+# Verification draws at most VERIFY_PASS opponents per pass, ~380 bytes each
+# at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
+VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
 
 
@@ -86,6 +87,22 @@ class ChiBounds(NamedTuple):
     nonempty_above_1: bool
 
 
+_RATIO_STATES = {1: [0, 3], -1: [2, 1]}   # (lower, upper) per phi sign
+
+
+def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
+    """Ratio bounds (lower, upper) over (..., 4) payoffs, NaN where `flat`
+    (..., 2) marks a denominator u_c(state) - l2 within DENOM_TOL of 0."""
+    _check_phi_sign(phi_sign)
+    states = _RATIO_STATES[phi_sign]
+    denom = u_c[..., states] - l2
+    flat = np.abs(denom) <= DENOM_TOL
+    with np.errstate(all="ignore"):
+        ratio = (u_p[..., states] - l1) / denom
+    ratio = np.where(flat.any(axis=-1, keepdims=True), np.nan, ratio)
+    return ratio[..., 0], ratio[..., 1], flat
+
+
 def chi_bounds(params: GameParams, l1: float, l2: float,
                phi_sign: int = 1) -> ChiBounds:
     """Classical ratio bounds on the extortion factor (necessary only).
@@ -94,19 +111,13 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
     Raises BaselineDegenerateError when a needed denominator u_c(state) - l2
     is within 1e-12 of zero.
     """
-    _check_phi_sign(phi_sign)
     pv = build_payoffs(params)
-    lo_state, hi_state = (0, 3) if phi_sign > 0 else (2, 1)
-    out = []
-    for s in (lo_state, hi_state):
-        denom = pv.u_c[s] - l2
-        if abs(denom) <= DENOM_TOL:
-            raise BaselineDegenerateError(
-                f"u_c({s}) - l2 = {denom!r} is degenerate; move the baseline"
-            )
-        out.append(float((pv.u_p[s] - l1) / denom))
-    lower, upper = out
-    return ChiBounds(lower, upper, bool(lower <= upper and upper > 1))
+    lower, upper, flat = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
+    if flat.any():
+        s = _RATIO_STATES[phi_sign][int(flat.argmax())]
+        raise BaselineDegenerateError(
+            f"u_c({s}) - l2 = {pv.u_c[s] - l2!r} is degenerate; move the baseline")
+    return ChiBounds(float(lower), float(upper), bool(lower <= upper and upper > 1))
 
 
 class ChiInterval(NamedTuple):
@@ -121,23 +132,49 @@ def _row_constraints(u_p, u_c, l1, l2, e2, phi_sign):
     Rows CC/DC constrain their own strategy entries directly; rows CD/DD
     constrain p2/p4 after removing the e2-weighted share of p1/p3, hence
     the mixed coefficients.  sign=-1 means 'must be <= 0' for phi > 0;
-    everything flips for phi < 0.  Raises for e2 = 1, where the mixed rows
-    leave p2/p4 undetermined.
+    everything flips for phi < 0.  Returns alpha, beta (..., 4) and sign
+    (4,).  Raises for e2 = 1, where the mixed rows leave p2/p4 undetermined.
     """
     _check_phi_sign(phi_sign)
-    if e2 >= 1.0:
+    if np.any(np.asarray(e2) >= 1.0):
         raise DegenerateParameterError("e2 = 1 is degenerate")
-    a = u_p - l1
-    b = u_c - l2
-    conds = [
-        (a[0], b[0], -1),                          # row CC: X_cc <= 0
-        (a[1] - e2 * a[0], b[1] - e2 * b[0], -1),  # row CD: X_cd - e2 X_cc <= 0
-        (a[2], b[2], +1),                          # row DC: X_dc >= 0
-        (a[3] - e2 * a[2], b[3] - e2 * b[2], +1),  # row DD: X_dd - e2 X_dc >= 0
-    ]
-    if phi_sign < 0:
-        conds = [(al, be, -s) for al, be, s in conds]
-    return conds
+
+    def rows(x):  # CC, CD - e2 CC, DC, DD - e2 DC
+        return np.stack([x[..., 0], x[..., 1] - e2 * x[..., 0],
+                         x[..., 2], x[..., 3] - e2 * x[..., 2]], axis=-1)
+    return rows(u_p - l1), rows(u_c - l2), phi_sign * np.array([-1, -1, 1, 1])
+
+
+def _chi_interval(alpha, beta, sign):
+    """Exact chi interval (lower, upper, nonempty) per cell, NaN if empty.
+    A row with beta != 0 caps chi from above when sign and beta agree and
+    from below otherwise; a row with beta == 0 holds for all chi or none."""
+    lo, hi = np.full(alpha.shape[:-1], -np.inf), np.full(alpha.shape[:-1], np.inf)
+    flat = beta == 0.0
+    caps = (sign > 0) == (beta > 0)
+    with np.errstate(all="ignore"):
+        bound = np.where(flat, np.nan, alpha / beta)   # NaN never wins min/max
+    for k in range(4):
+        hi = np.where(caps[..., k] & (bound[..., k] < hi), bound[..., k], hi)
+        lo = np.where(~caps[..., k] & (bound[..., k] > lo), bound[..., k], lo)
+    nonempty = ~((flat & (sign * alpha < 0)).any(axis=-1) | (lo > hi))
+    return (np.where(nonempty, lo, np.nan), np.where(nonempty, hi, np.nan),
+            nonempty)
+
+
+def _phi_max(alpha, beta, sign, chi, e2):
+    """(phi_max, admissible) per cell at a fixed chi.  A row whose value
+    alpha - chi*beta has the wrong sign fails for every phi; a nonzero
+    value caps |phi| at its row's slack budget over |value| (mixed rows
+    CD, DD move p2/p4 by 1 - e2 per unit); phi_max is inf if none binds."""
+    phi_max = np.full(alpha.shape[:-1], np.inf)
+    with np.errstate(all="ignore"):
+        value = alpha - chi * beta
+        for k, budget in enumerate((1.0, 1 - e2, 1.0, 1 - e2)):
+            v = value[..., k]
+            cap = budget / np.abs(v)
+            phi_max = np.where((v != 0.0) & (cap < phi_max), cap, phi_max)
+    return phi_max, ~(sign * value < 0).any(axis=-1)
 
 
 def chi_feasible_interval(params: GameParams, l1: float, l2: float,
@@ -152,21 +189,9 @@ def chi_feasible_interval(params: GameParams, l1: float, l2: float,
     +/-inf.
     """
     pv = build_payoffs(params)
-    lo, hi = -math.inf, math.inf
-    for alpha, beta, sign in _row_constraints(pv.u_p, pv.u_c, l1, l2,
-                                              params.e2, phi_sign):
-        if beta == 0.0:
-            if sign * alpha < 0:
-                return ChiInterval(math.nan, math.nan, False)
-            continue
-        bound = alpha / beta
-        if (sign > 0) == (beta > 0):
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-    if lo > hi:
-        return ChiInterval(math.nan, math.nan, False)
-    return ChiInterval(lo, hi, True)
+    lo, hi, nonempty = _chi_interval(
+        *_row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign))
+    return ChiInterval(float(lo), float(hi), bool(nonempty))
 
 
 def phi_feasible_interval(params: GameParams, l1: float, l2: float,
@@ -177,21 +202,11 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     [-phi_max, 0).  phi_max may be inf when no row binds.
     """
     pv = build_payoffs(params)
-    e2 = params.e2
-    # Slack budget of each row: mixed rows (CD, DD) only move p2/p4 by
-    # (1 - e2) per unit of row value.
-    budgets = (1.0, 1 - e2, 1.0, 1 - e2)
-    phi_max = math.inf
-    for (alpha, beta, sign), budget in zip(
-            _row_constraints(pv.u_p, pv.u_c, l1, l2, e2, phi_sign), budgets):
-        value = alpha - chi * beta
-        if sign * value < 0:
-            return None  # wrong sign: this row fails for every phi
-        if value != 0.0:
-            phi_max = min(phi_max, budget / abs(value))
-    if phi_sign > 0:
-        return (0.0, phi_max)
-    return (-phi_max, 0.0)
+    rows = _row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign)
+    phi_max, admissible = _phi_max(*rows, chi, params.e2)
+    if not admissible:
+        return None
+    return (0.0, float(phi_max)) if phi_sign > 0 else (-float(phi_max), 0.0)
 
 
 @dataclass(frozen=True)
@@ -240,10 +255,8 @@ def build_extortion_strategy(params: GameParams,
     phi_range = phi_feasible_interval(params, ext.l1, ext.l2, ext.chi,
                                       ext.phi_sign)
     if phi is None:
-        if phi_range is None:
-            phi = float(ext.phi_sign)
-        elif math.isinf(phi_range[0]) or math.isinf(phi_range[1]):
-            phi = float(ext.phi_sign)  # unbounded range: any phi works
+        if phi_range is None or math.isinf(phi_range[0] - phi_range[1]):
+            phi = float(ext.phi_sign)  # empty, or unbounded: any phi works
         else:
             phi = (phi_range[0] + phi_range[1]) / 2
     pv = build_payoffs(params)
@@ -255,14 +268,10 @@ def build_extortion_strategy(params: GameParams,
     p4 = (phi * x[3] - e2 * p3) / (1 - e2)
     p = (float(p1), float(p2), float(p3), float(p4))
     feasible = all(-FEAS_TOL <= v <= 1 + FEAS_TOL for v in p)
-    try:
-        bounds = chi_bounds(params, ext.l1, ext.l2, ext.phi_sign)
-        lower, upper = bounds.lower, bounds.upper
-    except BaselineDegenerateError:
-        lower = upper = math.nan
+    lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, ext.l1, ext.l2, ext.phi_sign)
     return ExtortionSolution(
         p=p, feasible=feasible, chi=ext.chi, phi=float(phi),
-        chi_lower=lower, chi_upper=upper, phi_range=phi_range,
+        chi_lower=float(lower), chi_upper=float(upper), phi_range=phi_range,
     )
 
 
@@ -284,8 +293,9 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
                               rng=None) -> VerificationReport:
     """Max over random collector strategies of |(s_p - l1) - chi (s_c - l2)|.
 
-    Draws producing a reducible chain are discarded and redrawn.  The
-    caller controls reproducibility by passing a seed or Generator.
+    Draws producing a reducible chain are discarded and redrawn (passes of
+    at most VERIFY_PASS; the first `trials` non-reducible draws count).
+    The caller controls reproducibility by passing a seed or Generator.
     """
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
@@ -299,7 +309,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     discarded = 0
     remaining = trials
     while remaining > 0:
-        qs = rng.random((remaining, 2))
+        qs = rng.random((min(remaining, VERIFY_PASS), 2))
         bad = reducible_mask(strategy, qs, params)
         discarded += int(bad.sum())
         qs = qs[~bad]
@@ -357,13 +367,13 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
                           jobs: int = 1) -> ExtortionGrid:
     """Scan noise space for where an extortionate strategy exists.
 
-    Per cell: rebuild payoffs at (e1, e2), report the printed ratio
-    bounds (nan + reason code when a ratio denominator degenerates), and
-    decide `feasible` from the exact chi interval intersected with
-    chi > 1.  With chi_probe set, also report per cell whether that
-    specific factor admits an admissible phi.  `jobs` is accepted for
-    compatibility only: the scan runs in one thread and its output does
-    not depend on it.
+    One batched evaluation over the whole (e1, e2) grid: payoffs at every
+    cell, the printed ratio bounds (nan + reason code when a ratio
+    denominator degenerates), and `feasible` from the exact chi interval
+    intersected with chi > 1.  With chi_probe set, also report per cell
+    whether that specific factor admits an admissible phi.  Cells match
+    the scalar functions at their noise levels.  `jobs` is accepted for
+    compatibility only: the output does not depend on it.
     """
     for name, v in (("l1", l1), ("l2", l2), ("chi_probe", chi_probe)):
         if v is not None and not math.isfinite(v):
@@ -373,34 +383,19 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):
         if axis.ndim != 1 or axis.size < 2:
             raise InvalidParameterError(f"{name} must be 1-D with >= 2 points")
-        if axis.min() < 0 or axis.max() >= 1:
-            raise InvalidParameterError(f"{name} values must lie in [0, 1)")
-    n1, n2 = e1_axis.size, e2_axis.size
-    chi_lo = np.full((n1, n2), np.nan)
-    chi_hi = np.full((n1, n2), np.nan)
-    feasible = np.zeros((n1, n2), dtype=bool)
-    code = np.zeros((n1, n2), dtype=np.int8)
-    probe = np.zeros((n1, n2), dtype=bool) if chi_probe is not None else None
-
-    for i in range(n1):
-        e1 = float(e1_axis[i])
-        for j in range(n2):
-            cell = params_base.replace_noise(e1=e1, e2=float(e2_axis[j]))
-            try:
-                bounds = chi_bounds(cell, l1, l2, phi_sign)
-                chi_lo[i, j], chi_hi[i, j] = bounds.lower, bounds.upper
-            except BaselineDegenerateError:
-                code[i, j] = 1
-            interval = chi_feasible_interval(cell, l1, l2, phi_sign)
-            ok = interval.nonempty and interval.upper > 1
-            feasible[i, j] = ok
-            if not ok and code[i, j] == 0:
-                code[i, j] = 2
-            if probe is not None and ok:
-                if interval.lower <= chi_probe <= interval.upper and chi_probe > 1:
-                    probe[i, j] = (phi_feasible_interval(
-                        cell, l1, l2, chi_probe, phi_sign) is not None)
-
+        if not np.all((axis >= 0) & (axis < 1)):
+            raise InvalidParameterError(
+                f"{name} values must be finite and lie in [0, 1)")
+    e2 = e2_axis[None, :]
+    u_p, u_c = payoff_arrays(params_base, e1_axis[:, None], e2)
+    chi_lo, chi_hi, flat = _ratio_bounds(u_p, u_c, l1, l2, phi_sign)
+    rows = _row_constraints(u_p, u_c, l1, l2, e2, phi_sign)
+    lo, hi, nonempty = _chi_interval(*rows)
+    feasible = nonempty & (hi > 1)
+    code = np.where(flat.any(axis=-1), 1, np.where(feasible, 0, 2)).astype(np.int8)
+    probe = None if chi_probe is None else (
+        feasible & (lo <= chi_probe) & (chi_probe <= hi) & (chi_probe > 1)
+        & _phi_max(*rows, chi_probe, e2)[1])
     return ExtortionGrid(
         e1_axis=e1_axis, e2_axis=e2_axis, chi_lower=chi_lo, chi_upper=chi_hi,
         feasible=feasible, reason_code=code, probe_feasible=probe,

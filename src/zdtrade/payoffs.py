@@ -123,8 +123,9 @@ class PayoffVectors:
         }
 
 
-def build_payoffs(params: GameParams) -> PayoffVectors:
-    """Evaluate the eight per-state payoff expressions.
+def payoff_arrays(params: GameParams, e1, e2):
+    """The eight per-state payoff expressions, broadcast over e1 and e2, as
+    (u_p, u_c) of shape broadcast(e1, e2) + (4,):
 
     Provider:  u_p(CC) = c_p
                u_p(CD) = c_p - c_p1 + (1-e2) c_p2
@@ -135,22 +136,26 @@ def build_payoffs(params: GameParams) -> PayoffVectors:
                u_c(DC) = (1-e1) c_c
                u_c(DD) = (1-e1) c_c + (1-e1) c_c1 - (1-e2) c_c2
     """
-    if not isinstance(params, GameParams):
-        params = GameParams(*params)
-    e1, e2 = params.e1, params.e2
-    u_p = np.array([
+    u_p = np.stack(np.broadcast_arrays(
         params.c_p,
         params.c_p - params.c_p1 + (1 - e2) * params.c_p2,
         (1 - e1) * params.c_p,
         (1 - e1) * params.c_p - (1 - e1) * params.c_p1 + (1 - e2) * params.c_p2,
-    ])
-    u_c = np.array([
+    ), axis=-1)
+    u_c = np.stack(np.broadcast_arrays(
         params.c_c,
         params.c_c + params.c_c1 - (1 - e2) * params.c_c2,
         (1 - e1) * params.c_c,
         (1 - e1) * params.c_c + (1 - e1) * params.c_c1 - (1 - e2) * params.c_c2,
-    ])
-    return PayoffVectors(params, u_p, u_c)
+    ), axis=-1)
+    return u_p, u_c
+
+
+def build_payoffs(params: GameParams) -> PayoffVectors:
+    """Payoff 4-vectors at the game's own noise levels (see `payoff_arrays`)."""
+    if not isinstance(params, GameParams):
+        params = GameParams(*params)
+    return PayoffVectors(params, *payoff_arrays(params, params.e1, params.e2))
 
 
 @dataclass(frozen=True)

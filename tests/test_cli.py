@@ -210,6 +210,15 @@ def test_non_finite_baselines_exit_3(tmp_path, capsys):
     assert "infeasible for collector" not in out.out + out.err
 
 
+def test_non_finite_noise_axis_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2,
+                                            "e1_grid": [0.1, float("nan")]})
+    assert main(["scan-extort", "--config", cfg,
+                 "--out", str(tmp_path / "e.csv")]) == 3
+    assert "e1_grid values must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_simulate_all_cooperate_summary(tmp_path, capsys):
     cfg = write_config(tmp_path,
                        simulation={"rounds": 5000, "seed": 2, "burn_in": 100,

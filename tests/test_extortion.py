@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zdtrade.extortion as extortion
 from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      GameParams, InvalidParameterError,
                      build_extortion_strategy, build_payoffs, chi_bounds,
@@ -11,7 +13,7 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      expected_payoffs_many, phi_feasible_interval,
                      reducible_mask, scan_extortion_region,
                      verify_extortion_relation)
-from zdtrade.extortion import MAX_TRIALS
+from zdtrade.extortion import MAX_TRIALS, ExtortionGrid, VerificationReport
 
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
@@ -351,3 +353,188 @@ def test_scan_grid_validation(base_params):
     with pytest.raises(InvalidParameterError):
         scan_extortion_region(base_params, 1, 2, np.array([0.0, 1.0]),
                               np.array([0.1, 0.2]))
+
+
+def test_scan_axis_must_be_finite(base_params):
+    good = [0.1, 0.2]
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("e1_grid", "e2_grid"):
+            axes = {"e1_grid": good, "e2_grid": good, name: [0.1, bad]}
+            with pytest.raises(InvalidParameterError,
+                               match=f"{name} values must be finite"):
+                scan_extortion_region(base_params, 1, 2, **axes)
+
+
+# --- batched scan against the per-cell loop --------------------------------------
+
+def reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign, chi_probe):
+    """The region scan as a per-cell loop, as it was first written: payoffs,
+    ratio bounds, exact chi interval and the chi_probe sign test, one cell
+    at a time.  Returns an ExtortionGrid."""
+    g = params
+    shape = (len(e1_axis), len(e2_axis))
+    bounds = np.full(shape + (2,), np.nan)
+    feasible = np.zeros(shape, dtype=bool)
+    code = np.zeros(shape, dtype=np.int8)
+    probe = np.zeros(shape, dtype=bool)
+    for i, e1 in enumerate(map(float, e1_axis)):
+        for j, e2 in enumerate(map(float, e2_axis)):
+            u_p = np.array([
+                g.c_p, g.c_p - g.c_p1 + (1 - e2) * g.c_p2, (1 - e1) * g.c_p,
+                (1 - e1) * g.c_p - (1 - e1) * g.c_p1 + (1 - e2) * g.c_p2])
+            u_c = np.array([
+                g.c_c, g.c_c + g.c_c1 - (1 - e2) * g.c_c2, (1 - e1) * g.c_c,
+                (1 - e1) * g.c_c + (1 - e1) * g.c_c1 - (1 - e2) * g.c_c2])
+            states = (0, 3) if phi_sign > 0 else (2, 1)
+            denoms = [u_c[s] - l2 for s in states]
+            if any(abs(d) <= 1e-12 for d in denoms):
+                code[i, j] = 1
+            else:
+                bounds[i, j] = [(u_p[s] - l1) / d for s, d in zip(states, denoms)]
+            a, b = u_p - l1, u_c - l2
+            rows = [(a[0], b[0], -phi_sign),
+                    (a[1] - e2 * a[0], b[1] - e2 * b[0], -phi_sign),
+                    (a[2], b[2], phi_sign),
+                    (a[3] - e2 * a[2], b[3] - e2 * b[2], phi_sign)]
+            lo, hi, ok = -math.inf, math.inf, True
+            for alpha, beta, sign in rows:
+                if beta == 0.0:
+                    ok = ok and not sign * alpha < 0
+                elif (sign > 0) == (beta > 0):
+                    hi = min(hi, alpha / beta)
+                else:
+                    lo = max(lo, alpha / beta)
+            ok = ok and not lo > hi and hi > 1
+            feasible[i, j] = ok
+            if not ok and code[i, j] == 0:
+                code[i, j] = 2
+            if (chi_probe is not None and ok and lo <= chi_probe <= hi
+                    and chi_probe > 1):
+                probe[i, j] = all(not sign * (alpha - chi_probe * beta) < 0
+                                  for alpha, beta, sign in rows)
+    return ExtortionGrid(
+        np.asarray(e1_axis, dtype=float), np.asarray(e2_axis, dtype=float),
+        bounds[..., 0], bounds[..., 1], feasible, code,
+        probe if chi_probe is not None else None, chi_probe)
+
+
+def assert_scan_matches_reference(params, l1, l2, e1_axis, e2_axis,
+                                  chi_probe=None):
+    """Both phi signs: CSV, bounds (bit for bit), reason codes and the
+    probe column equal the per-cell loop's."""
+    grids = []
+    for phi_sign in (1, -1):
+        grid = scan_extortion_region(params, l1, l2, e1_axis, e2_axis,
+                                     phi_sign=phi_sign, chi_probe=chi_probe)
+        ref = reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign,
+                             chi_probe)
+        assert grid.to_csv() == ref.to_csv()
+        for name in ("chi_lower", "chi_upper"):
+            assert np.array_equal(getattr(grid, name).view(np.int64),
+                                  getattr(ref, name).view(np.int64)), name
+        assert grid.reason_code.dtype == ref.reason_code.dtype
+        assert np.array_equal(grid.reason_code, ref.reason_code)
+        if chi_probe is None:
+            assert grid.probe_feasible is None
+        else:
+            assert np.array_equal(grid.probe_feasible, ref.probe_feasible)
+        grids.append(grid)
+    return grids
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_scan_matches_per_cell_loop_on_random_games(seed):
+    rng = np.random.default_rng(seed)
+    params = GameParams(*rng.uniform(0.5, 10, 6), *rng.uniform(0, 0.99, 2))
+    l1, l2 = rng.uniform(0.1, 12, 2)
+    if seed % 2:   # non-uniform, unsorted list axes
+        e1_axis = rng.uniform(0, 0.99, rng.integers(2, 10)).tolist()
+        e2_axis = rng.uniform(0, 0.99, rng.integers(2, 10)).tolist()
+    else:
+        e1_axis = np.linspace(0, 0.9, rng.integers(2, 12))
+        e2_axis = np.linspace(0, 0.95, rng.integers(2, 12))
+    chi_probe = float(rng.uniform(0.5, 4)) if seed % 3 else None
+    assert_scan_matches_reference(params, l1, l2, e1_axis, e2_axis, chi_probe)
+
+
+@pytest.mark.parametrize("l1", [1.0, 7.5])
+def test_scan_matches_per_cell_loop_with_flat_cc_row(base_params, l1):
+    # l2 = c_c makes beta_CC exactly 0: the CC row holds for every chi or
+    # for none, depending on the sign of c_p - l1
+    axis = np.linspace(0, 0.9, 10)
+    grids = assert_scan_matches_reference(base_params, l1, base_params.c_c,
+                                          axis, axis, chi_probe=1.5)
+    assert np.all(grids[0].reason_code == 1)
+
+
+def test_scan_matches_per_cell_loop_on_degenerate_denominators(base_params):
+    for axes in (([0.2, 0.3, 0.4], [0.4, 0.5]),
+                 (np.linspace(0, 0.9, 10), np.linspace(0, 0.9, 10))):
+        grids = assert_scan_matches_reference(base_params, 1, 3.4, *axes,
+                                              chi_probe=1.5)
+        assert np.any(grids[0].reason_code == 1)
+
+
+def test_scan_matches_per_cell_loop_with_hostile_baselines(base_params):
+    axis = np.linspace(0, 0.8, 5)
+    grids = assert_scan_matches_reference(base_params, 6, 10, axis, axis,
+                                          chi_probe=1.5)
+    assert grids[0].feasible_count == 0
+
+
+def test_scan_matches_per_cell_loop_on_list_axes(base_params):
+    assert_scan_matches_reference(base_params, 1, 2,
+                                  [0.0, 0.05, 0.5, 0.51, 0.9],
+                                  [0.7, 0.1, 0.3], chi_probe=1.5)
+
+
+AXIS = st.lists(st.floats(0, 0.99), min_size=2, max_size=6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=80, deadline=None)
+@given(l1=st.floats(0.1, 12), l2=st.floats(0.1, 12),
+       chi_probe=st.floats(0.5, 5), e1_grid=AXIS, e2_grid=AXIS,
+       field=st.sampled_from(["l1", "l2", "chi_probe", "e1_grid", "e2_grid"]),
+       bad=NON_FINITE, position=st.integers(0, 5))
+def test_non_finite_input_never_yields_a_grid(l1, l2, chi_probe, e1_grid,
+                                              e2_grid, field, bad, position):
+    args = {"l1": l1, "l2": l2, "chi_probe": chi_probe,
+            "e1_grid": e1_grid, "e2_grid": e2_grid}
+    if field.endswith("_grid"):
+        axis = list(args[field])
+        axis[position % len(axis)] = bad
+        args[field] = axis
+    else:
+        args[field] = bad
+    with pytest.raises(InvalidParameterError, match=field):
+        scan_extortion_region(GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5), **args)
+
+
+# --- verification passes ------------------------------------------------------------
+
+def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = build_extortion_strategy(base_params, ext)
+
+    def flag(strategy, qs, params):   # a deterministic "reducible" subset
+        return qs[:, 0] < 0.3
+
+    monkeypatch.setattr(extortion, "reducible_mask", flag)
+    monkeypatch.setattr(extortion, "VERIFY_PASS", 7)
+    report = verify_extortion_relation(sol, base_params, ext, trials=100, rng=3)
+    # one pass draws every remaining trial at once
+    rng = np.random.default_rng(3)
+    max_residual, discarded, remaining = 0.0, 0, 100
+    while remaining > 0:
+        qs = rng.random((remaining, 2))
+        bad = flag(sol.strategy, qs, base_params)
+        discarded += int(bad.sum())
+        qs = qs[~bad]
+        if qs.shape[0]:
+            s_p, s_c = expected_payoffs_many(sol.strategy, qs, base_params)
+            residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
+            max_residual = max(max_residual, float(residual.max()))
+            remaining -= qs.shape[0]
+    assert discarded > 0
+    assert report == VerificationReport(100, max_residual, discarded)
