@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BaselineDegenerateError, InvalidParameterError
-from .payoffs import GameParams, StateIndex, build_payoffs, validate_ordering
-
-DENOM_TOL = 1e-12
+from .extortion import baseline_gap
+from .payoffs import (GameParams, StateIndex, build_payoffs, check_finite,
+                      validate_ordering)
 
 
 def _holds(gap: float) -> bool:
@@ -87,17 +86,10 @@ def check_collector_extortion(params: GameParams, l1: float,
     provider prefers a cooperative collector, the collector gains from
     resale, and both denominators are positive.
     """
-    for name, v in (("l1", l1), ("l2", l2)):
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
+    check_finite(l1=l1, l2=l2)
     pv = build_payoffs(params)
-    d_cc = float(pv.u_c[StateIndex.CC]) - l2
-    d_cd = float(pv.u_c[StateIndex.CD]) - l2
-    for name, d in (("u_c(CC)", d_cc), ("u_c(CD)", d_cd)):
-        if abs(d) <= DENOM_TOL:
-            raise BaselineDegenerateError(
-                f"{name} - l2 = {d!r} is degenerate; move the baseline"
-            )
+    d_cc = baseline_gap(pv.u_c, l2, StateIndex.CC)
+    d_cd = baseline_gap(pv.u_c, l2, StateIndex.CD)
     lhs = (float(pv.u_p[StateIndex.CC]) - l1) / d_cc
     rhs = (float(pv.u_p[StateIndex.CD]) - l1) / d_cd
     report = validate_ordering(pv)

@@ -31,7 +31,8 @@ from ._text import csv_text, grid_axes
 from .errors import (BaselineDegenerateError, DegenerateParameterError,
                      InvalidParameterError)
 from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
-from .payoffs import GameParams, build_payoffs, payoff_arrays
+from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_finite,
+                      payoff_arrays)
 
 DENOM_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -90,6 +91,17 @@ class ChiBounds(NamedTuple):
 _RATIO_STATES = {1: [0, 3], -1: [2, 1]}   # (lower, upper) per phi sign
 
 
+def baseline_gap(u_c, l2, state) -> float:
+    """u_c(state) - l2 as a Python float; raises BaselineDegenerateError
+    when it is within DENOM_TOL of zero."""
+    gap = float(u_c[state] - l2)
+    if abs(gap) <= DENOM_TOL:
+        raise BaselineDegenerateError(
+            f"u_c({STATE_NAMES[state]}) - l2 = {gap!r} is degenerate; "
+            "move the baseline")
+    return gap
+
+
 def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
     """Ratio bounds (lower, upper) over (..., 4) payoffs, NaN where `flat`
     (..., 2) marks a denominator u_c(state) - l2 within DENOM_TOL of 0."""
@@ -111,12 +123,11 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
     Raises BaselineDegenerateError when a needed denominator u_c(state) - l2
     is within 1e-12 of zero.
     """
+    check_finite(l1=l1, l2=l2)
     pv = build_payoffs(params)
-    lower, upper, flat = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
-    if flat.any():
-        s = _RATIO_STATES[phi_sign][int(flat.argmax())]
-        raise BaselineDegenerateError(
-            f"u_c({s}) - l2 = {pv.u_c[s] - l2!r} is degenerate; move the baseline")
+    lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
+    for state in _RATIO_STATES[phi_sign]:
+        baseline_gap(pv.u_c, l2, state)
     return ChiBounds(float(lower), float(upper), bool(lower <= upper and upper > 1))
 
 
@@ -188,6 +199,7 @@ def chi_feasible_interval(params: GameParams, l1: float, l2: float,
     not apply.  Returns (nan, nan, False) when empty; endpoints may be
     +/-inf.
     """
+    check_finite(l1=l1, l2=l2)
     pv = build_payoffs(params)
     lo, hi, nonempty = _chi_interval(
         *_row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign))
@@ -201,6 +213,7 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     For phi > 0 the interval is (0, phi_max]; for phi < 0 it is
     [-phi_max, 0).  phi_max may be inf when no row binds.
     """
+    check_finite(l1=l1, l2=l2, chi=chi)
     pv = build_payoffs(params)
     rows = _row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign)
     phi_max, admissible = _phi_max(*rows, chi, params.e2)
@@ -375,9 +388,7 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     the scalar functions at their noise levels.  `jobs` is accepted for
     compatibility only: the output does not depend on it.
     """
-    for name, v in (("l1", l1), ("l2", l2), ("chi_probe", chi_probe)):
-        if v is not None and not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
+    check_finite(l1=l1, l2=l2, chi_probe=chi_probe)
     e1_axis = np.asarray(e1_grid, dtype=float)
     e2_axis = np.asarray(e2_grid, dtype=float)
     for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):

@@ -24,7 +24,8 @@ import numpy as np
 
 from ._text import csv_text, table
 from .errors import InvalidParameterError, NonUniqueStationaryError
-from .payoffs import GameParams, STATE_NAMES, StateIndex, build_payoffs
+from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
+                      check_unit_interval)
 
 # Reducibility tolerance: the chain is declared non-unique when the two
 # smallest singular values of M - I are both below this.
@@ -43,10 +44,7 @@ class ProviderStrategy:
     p4: float
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p3", "p4"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+        check_unit_interval(p1=self.p1, p2=self.p2, p3=self.p3, p4=self.p4)
 
     @property
     def vector(self) -> np.ndarray:
@@ -69,10 +67,7 @@ class CollectorStrategy:
     q2: float
 
     def __post_init__(self):
-        for name in ("q1", "q2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+        check_unit_interval(q1=self.q1, q2=self.q2)
 
     @property
     def vector(self) -> np.ndarray:

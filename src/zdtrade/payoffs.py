@@ -15,6 +15,7 @@ mask).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
 
@@ -36,6 +37,22 @@ STATE_NAMES = ("CC", "CD", "DC", "DD")
 
 _CURRENCY_FIELDS = ("c_p", "c_c", "c_p1", "c_c1", "c_p2", "c_c2")
 _PARAM_FIELDS = _CURRENCY_FIELDS + ("e1", "e2")
+
+
+def check_unit_interval(**values) -> None:
+    """Raise InvalidParameterError naming the first value outside [0, 1]
+    (NaN included)."""
+    for name, v in values.items():
+        if not 0.0 <= v <= 1.0:
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+
+
+def check_finite(**values) -> None:
+    """Raise InvalidParameterError naming the first NaN or infinite value;
+    None values are skipped."""
+    for name, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +85,7 @@ class GameParams:
                 raise InvalidParameterError(
                     f"{name} must be a finite positive amount, got {value!r}"
                 )
-        for name in ("e1", "e2"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise InvalidParameterError(
-                    f"{name} must lie in [0, 1], got {value!r}"
-                )
+        check_unit_interval(e1=self.e1, e2=self.e2)
 
     @classmethod
     def from_mapping(cls, mapping) -> "GameParams":

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 from ._text import csv_text, grid_axes
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
-from .payoffs import GameParams, build_payoffs
+from .payoffs import GameParams, build_payoffs, check_unit_interval
 
 # p2/p3 may overshoot [0, 1] by this much and still count as feasible
 # (then clamped); region boundaries are rounding-sensitive.
@@ -60,10 +58,26 @@ def _pinning_constants(params: GameParams):
     return u_c, a, b, d1
 
 
-def _check_free_entries(p1: float, p4: float) -> None:
-    for name, v in (("p1", p1), ("p4", p4)):
-        if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+def _solve_cells(p1, p4, u_c, a, b, d1, e2):
+    """The pinning solution broadcast over p1 and p4: (p2, p3, pinned,
+    feasible, reason code).  A feasible cell's p2, p3 are clamped to [0, 1]
+    (a -0.0 becomes 0.0); the p1 = 1, p4 = 0 corner is infeasible with a NaN
+    pinned value."""
+    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
+          + (u_c[0] - u_c[1]) * (1 + p4)) / d1
+    p3 = ((u_c[3] - u_c[2]) * (1 - p1)
+          + (u_c[0] - u_c[2]) * (1 - e2) * p4) / d1
+    p2_ok = (p2 >= -BOUNDARY_TOL) & (p2 <= 1 + BOUNDARY_TOL)
+    p3_ok = (p3 >= -BOUNDARY_TOL) & (p3 <= 1 + BOUNDARY_TOL)
+    corner = (p1 == 1.0) & (p4 == 0.0)
+    feasible = p2_ok & p3_ok & ~corner
+    code = np.where(corner, 4, ~p2_ok + 2 * ~p3_ok).astype(np.int8)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pinned = (a * (1 - p1) + b * p4) / (1 - p1 + p4)
+    pinned = np.where(corner, np.nan, pinned)
+    p2 = np.where(feasible, np.clip(p2, 0.0, 1.0) + 0.0, p2)
+    p3 = np.where(feasible, np.clip(p3, 0.0, 1.0) + 0.0, p3)
+    return p2, p3, pinned, feasible, code
 
 
 @dataclass(frozen=True)
@@ -105,10 +119,6 @@ class PinningSolution:
         }
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:
     """Solve the dependent entries p2, p3 for given free entries p1, p4.
 
@@ -118,34 +128,17 @@ def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:
            + [u_c(CC) - u_c(DC)] (1 - e2) p4 } / D1
     D1 = u_c(CC) - u_c(DD) - e2 [u_c(CC) - u_c(DC)]
 
-    Raises DegenerateParameterError when e2 = 1 or |D1| <= 1e-12.
+    Raises DegenerateParameterError when e2 = 1 or |D1| <= 1e-12.  This is
+    the one-cell evaluation of the region scan's kernel.
     """
-    _check_free_entries(p1, p4)
+    check_unit_interval(p1=p1, p4=p4)
     u_c, a, b, d1 = _pinning_constants(params)
-    e2 = params.e2
-    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
-          + (u_c[0] - u_c[1]) * (1 + p4)) / d1
-    p3 = ((u_c[3] - u_c[2]) * (1 - p1)
-          + (u_c[0] - u_c[2]) * (1 - e2) * p4) / d1
-
-    corner = (p1 == 1.0 and p4 == 0.0)
-    p2_ok = bool(-BOUNDARY_TOL <= p2 <= 1 + BOUNDARY_TOL)
-    p3_ok = bool(-BOUNDARY_TOL <= p3 <= 1 + BOUNDARY_TOL)
-    if corner:
-        feasible, code = False, 4
-        pinned = math.nan
-    else:
-        feasible = p2_ok and p3_ok
-        code = (0 if feasible else
-                1 if not p2_ok and p3_ok else
-                2 if p2_ok else 3)
-        pinned = (a * (1 - p1) + b * p4) / (1 - p1 + p4)
-    if feasible:
-        p2, p3 = _clamp01(p2), _clamp01(p3)
+    p2, p3, pinned, feasible, code = _solve_cells(
+        np.float64(p1), np.float64(p4), u_c, a, b, d1, params.e2)
     return PinningSolution(
         p1=float(p1), p4=float(p4), p2=float(p2), p3=float(p3),
         a_const=a, b_const=b, d1_const=d1, pinned_s_c=float(pinned),
-        feasible=feasible, reason=_REASON_CODES[code],
+        feasible=bool(feasible), reason=_REASON_CODES[int(code)],
     )
 
 
@@ -179,7 +172,7 @@ def pinning_sensitivity_noise(p1: float, p4: float,
     with w = (1 - p1) / (1 - p1 + p4).  More data noise always hurts the
     collector; more identity masking always helps him.
     """
-    _check_free_entries(p1, p4)
+    check_unit_interval(p1=p1, p4=p4)
     if params.e2 >= 1.0:
         raise DegenerateParameterError("e2 = 1 is degenerate")
     denom = 1 - p1 + p4
@@ -236,29 +229,6 @@ class PinningGrid:
         }
 
 
-def _scan_rows(axis: np.ndarray, u_c, a, b, d1, e2):
-    p1g, p4g = np.meshgrid(axis, axis, indexing="ij")
-    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1g
-          + (u_c[0] - u_c[1]) * (1 + p4g)) / d1
-    p3 = ((u_c[3] - u_c[2]) * (1 - p1g)
-          + (u_c[0] - u_c[2]) * (1 - e2) * p4g) / d1
-    p2_ok = (p2 >= -BOUNDARY_TOL) & (p2 <= 1 + BOUNDARY_TOL)
-    p3_ok = (p3 >= -BOUNDARY_TOL) & (p3 <= 1 + BOUNDARY_TOL)
-    corner = (p1g == 1.0) & (p4g == 0.0)
-    feasible = p2_ok & p3_ok & ~corner
-    code = np.zeros(p2.shape, dtype=np.int8)
-    code[~p2_ok & p3_ok] = 1
-    code[p2_ok & ~p3_ok] = 2
-    code[~p2_ok & ~p3_ok] = 3
-    code[corner] = 4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pinned = (a * (1 - p1g) + b * p4g) / (1 - p1g + p4g)
-    pinned[corner] = np.nan
-    p2 = np.where(feasible, np.clip(p2, 0.0, 1.0), p2)
-    p3 = np.where(feasible, np.clip(p3, 0.0, 1.0), p3)
-    return p2, p3, pinned, feasible, code
-
-
 def scan_pinning_region(params: GameParams, resolution: int = 101,
                         jobs: int = 1) -> PinningGrid:
     """Evaluate solve_pinning over an inclusive uniform grid.
@@ -272,7 +242,8 @@ def scan_pinning_region(params: GameParams, resolution: int = 101,
         raise InvalidParameterError("resolution must be at least 2")
     u_c, a, b, d1 = _pinning_constants(params)
     axis = np.linspace(0.0, 1.0, resolution)
-    p2, p3, pinned, feasible, code = _scan_rows(axis, u_c, a, b, d1, params.e2)
+    p2, p3, pinned, feasible, code = _solve_cells(
+        axis[:, None], axis[None, :], u_c, a, b, d1, params.e2)
     return PinningGrid(
         p1_axis=axis, p4_axis=axis.copy(), p2=p2, p3=p3, pinned_s_c=pinned,
         feasible=feasible, reason_code=code, a_const=a, b_const=b, d1_const=d1,

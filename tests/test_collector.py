@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zdtrade import (BaselineDegenerateError, GameParams,
-                     InvalidParameterError, build_payoffs,
+                     InvalidParameterError, build_payoffs, chi_bounds,
                      check_collector_extortion, check_collector_pinning,
                      validate_ordering)
 
@@ -67,6 +67,21 @@ def test_extortion_certificate_degenerate_baseline(base_params):
         check_collector_extortion(base_params, l1=1, l2=5.0)
     with pytest.raises(BaselineDegenerateError):
         check_collector_extortion(base_params, l1=1, l2=5.5)
+
+
+def test_degenerate_baseline_has_one_message(base_params):
+    # the ratio bounds and the certificate refuse the same baseline alike
+    u_c = build_payoffs(base_params).u_c
+    for l2, phi_sign, state in ((5.0, 1, "CC"), (float(u_c[1]), -1, "CD")):
+        with pytest.raises(BaselineDegenerateError) as bounds:
+            chi_bounds(base_params, 1, l2, phi_sign=phi_sign)
+        with pytest.raises(BaselineDegenerateError) as cert:
+            check_collector_extortion(base_params, 1, l2)
+        assert str(bounds.value) == str(cert.value) == (
+            f"u_c({state}) - l2 = 0.0 is degenerate; move the baseline")
+    with pytest.raises(BaselineDegenerateError,
+                       match=r"^u_c\(DC\) - l2 = 0\.0 is degenerate"):
+        chi_bounds(base_params, 1, float(u_c[2]), phi_sign=-1)
 
 
 def test_extortion_certificate_rejects_non_finite_baselines():

@@ -511,6 +511,23 @@ def test_non_finite_input_never_yields_a_grid(l1, l2, chi_probe, e1_grid,
         scan_extortion_region(GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5), **args)
 
 
+@settings(max_examples=80, deadline=None)
+@given(l1=st.floats(0.1, 12), l2=st.floats(0.1, 12), chi=st.floats(0.5, 5),
+       field=st.sampled_from(["l1", "l2", "chi"]), bad=NON_FINITE,
+       phi_sign=st.sampled_from([1, -1]))
+def test_non_finite_input_never_yields_a_scalar_verdict(l1, l2, chi, field,
+                                                        bad, phi_sign):
+    args = {"l1": l1, "l2": l2, "chi": chi, field: bad}
+    params = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
+    calls = [(phi_feasible_interval, args)]
+    if field != "chi":
+        baselines = {"l1": args["l1"], "l2": args["l2"]}
+        calls += [(chi_bounds, baselines), (chi_feasible_interval, baselines)]
+    for fn, kwargs in calls:
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+            fn(params, **kwargs, phi_sign=phi_sign)
+
+
 # --- verification passes ------------------------------------------------------------
 
 def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):

@@ -1,8 +1,12 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zdtrade import (DegenerateParameterError, GameParams,
-                     InvalidParameterError, PinningSolution,
+                     InvalidParameterError, PinningSolution, build_payoffs,
                      expected_payoffs_many, pinning_sensitivity_noise,
                      pinning_sensitivity_strategy, reducible_mask,
                      scan_pinning_region, solve_pinning)
@@ -266,3 +270,117 @@ def test_empty_region_at_extreme_masking_noise():
                                resolution=51)
     assert grid.feasible_count == 0
     assert grid.summary()["s_c_min"] is None
+
+
+# --- one kernel: the scalar solver is the grid kernel at one cell -------------
+
+def reference_solve(p1, p4, params):
+    """The scalar solver, formulas and clamp written out per value: the
+    oracle for the kernel's one-cell call."""
+    for name, v in (("p1", p1), ("p4", p4)):
+        if not np.isfinite(v) or not 0.0 <= v <= 1.0:
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+    if params.e2 >= 1.0:
+        raise DegenerateParameterError(
+            "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
+        )
+    u_c = build_payoffs(params).u_c
+    e2 = params.e2
+    b = float(u_c[0])
+    a = float((u_c[3] - e2 * u_c[2]) / (1 - e2))
+    d1 = float(u_c[0] - u_c[3] - e2 * (u_c[0] - u_c[2]))
+    if abs(d1) <= 1e-12:
+        raise DegenerateParameterError(
+            f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
+        )
+    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
+          + (u_c[0] - u_c[1]) * (1 + p4)) / d1
+    p3 = ((u_c[3] - u_c[2]) * (1 - p1)
+          + (u_c[0] - u_c[2]) * (1 - e2) * p4) / d1
+    corner = (p1 == 1.0 and p4 == 0.0)
+    p2_ok = bool(-1e-9 <= p2 <= 1 + 1e-9)
+    p3_ok = bool(-1e-9 <= p3 <= 1 + 1e-9)
+    if corner:
+        feasible, reason, pinned = (False, "pinned_value_undefined_at_p1_1_p4_0",
+                                    math.nan)
+    else:
+        feasible = p2_ok and p3_ok
+        reason = (None if feasible else
+                  "p2_out_of_range" if not p2_ok and p3_ok else
+                  "p3_out_of_range" if p2_ok else "p2_and_p3_out_of_range")
+        pinned = (a * (1 - p1) + b * p4) / (1 - p1 + p4)
+    if feasible:
+        p2, p3 = min(1.0, max(0.0, p2)), min(1.0, max(0.0, p3))
+    return PinningSolution(
+        p1=float(p1), p4=float(p4), p2=float(p2), p3=float(p3),
+        a_const=a, b_const=b, d1_const=d1, pinned_s_c=float(pinned),
+        feasible=feasible, reason=reason,
+    )
+
+
+def bits(sol):
+    """as_dict() with every float as its IEEE bytes (signed zeros, NaN)."""
+    return {k: struct.pack("<d", v) if isinstance(v, float) else v
+            for k, v in sol.as_dict().items()}
+
+
+def outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except (InvalidParameterError, DegenerateParameterError) as exc:
+        return type(exc), str(exc)
+
+
+PAYOFF = st.one_of(st.integers(1, 9).map(float), st.floats(0.1, 10))
+NOISE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0, 0.99))
+GAMES = st.builds(GameParams, PAYOFF, PAYOFF, PAYOFF, PAYOFF, PAYOFF, PAYOFF,
+                  NOISE, NOISE)
+FREE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+CELLS = st.one_of(st.just((1.0, 0.0)), st.tuples(FREE, FREE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=GAMES, cells=st.lists(CELLS, min_size=1, max_size=8))
+@example(params=GameParams(1, 1, 1, 1, 1, 0.5, 0.0, 0.0),  # p3 = 0 / (D1 < 0)
+         cells=[(1.0, 5e-237)])
+def test_solver_matches_scalar_reference(params, cells):
+    for p1, p4 in cells:
+        assert outcome(solve_pinning, p1, p4, params) == \
+            outcome(reference_solve, p1, p4, params)
+
+
+def test_solver_errors_match_scalar_reference(base_params):
+    cases = [(0.5, 0.5, GameParams(5, 5, 2, 2, 3, 3, 0.3, 1.0)),      # e2 = 1
+             (0.5, 0.5, GameParams(5, 5, 2, 2, 3, 3, 0.3, 31 / 45)),  # D1 ~ 0
+             (0.5, 0.5, GameParams(5, 5, 2, 2, 3, 3, 0.0, 1 / 3))]   # D1 ~ 0
+    cases += [(p1, p4, base_params) for p1, p4 in
+              ((1.5, 0.2), (-0.1, 0.2), (math.nan, 0.2), (0.2, math.inf),
+               (0.2, -1e-300), (math.nan, math.nan))]
+    for p1, p4, params in cases:
+        got = outcome(solve_pinning, p1, p4, params)
+        assert isinstance(got, tuple), (p1, p4, params)
+        assert got == outcome(reference_solve, p1, p4, params)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=GAMES)
+def test_scan_cells_equal_solver(params):
+    try:
+        grid = scan_pinning_region(params, resolution=23)
+    except DegenerateParameterError:
+        return
+    lo = min(grid.a_const, grid.b_const)
+    hi = max(grid.a_const, grid.b_const)
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    for i, p1 in enumerate(grid.p1_axis):
+        for j, p4 in enumerate(grid.p4_axis):
+            sol = solve_pinning(p1, p4, params)
+            cell = PinningSolution(
+                p1=float(p1), p4=float(p4), p2=float(grid.p2[i, j]),
+                p3=float(grid.p3[i, j]), a_const=grid.a_const,
+                b_const=grid.b_const, d1_const=grid.d1_const,
+                pinned_s_c=float(grid.pinned_s_c[i, j]),
+                feasible=bool(grid.feasible[i, j]), reason=grid.reason(i, j))
+            assert bits(cell) == bits(sol)
+            if sol.feasible:
+                assert lo - slack <= sol.pinned_s_c <= hi + slack
