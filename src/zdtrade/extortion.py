@@ -28,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._text import csv_text, grid_axes
-from .errors import (BaselineDegenerateError, DegenerateParameterError,
-                     InvalidParameterError)
+from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
-from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_finite,
-                      payoff_arrays)
+from .payoffs import (GameParams, STATE_NAMES, build_payoffs,
+                      check_e2_below_one, check_finite, payoff_arrays)
 
 DENOM_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -147,8 +146,7 @@ def _row_constraints(u_p, u_c, l1, l2, e2, phi_sign):
     (4,).  Raises for e2 = 1, where the mixed rows leave p2/p4 undetermined.
     """
     _check_phi_sign(phi_sign)
-    if np.any(np.asarray(e2) >= 1.0):
-        raise DegenerateParameterError("e2 = 1 is degenerate")
+    check_e2_below_one(e2)
 
     def rows(x):  # CC, CD - e2 CC, DC, DD - e2 DC
         return np.stack([x[..., 0], x[..., 1] - e2 * x[..., 0],

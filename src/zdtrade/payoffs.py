@@ -21,7 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DegenerateParameterError, InvalidParameterError
 
 
 class StateIndex(IntEnum):
@@ -45,6 +45,15 @@ def check_unit_interval(**values) -> None:
     for name, v in values.items():
         if not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+
+
+def check_e2_below_one(e2) -> None:
+    """Raise DegenerateParameterError when e2 (a float or an array) reaches
+    1: the pinning constants and the extortion rows divide by 1 - e2."""
+    if np.any(np.asarray(e2) >= 1.0):
+        raise DegenerateParameterError(
+            "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
+        )
 
 
 def check_finite(**values) -> None:

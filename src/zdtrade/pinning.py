@@ -21,7 +21,8 @@ import numpy as np
 from ._text import csv_text, grid_axes
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
-from .payoffs import GameParams, build_payoffs, check_unit_interval
+from .payoffs import (GameParams, build_payoffs, check_e2_below_one,
+                      check_unit_interval)
 
 # p2/p3 may overshoot [0, 1] by this much and still count as feasible
 # (then clamped); region boundaries are rounding-sensitive.
@@ -43,10 +44,7 @@ _REASON_CODES = {
 
 
 def _pinning_constants(params: GameParams):
-    if params.e2 >= 1.0:
-        raise DegenerateParameterError(
-            "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
-        )
+    check_e2_below_one(params.e2)
     u_c = build_payoffs(params).u_c
     b = float(u_c[0])
     a = float((u_c[3] - params.e2 * u_c[2]) / (1 - params.e2))
@@ -173,8 +171,7 @@ def pinning_sensitivity_noise(p1: float, p4: float,
     collector; more identity masking always helps him.
     """
     check_unit_interval(p1=p1, p4=p4)
-    if params.e2 >= 1.0:
-        raise DegenerateParameterError("e2 = 1 is degenerate")
+    check_e2_below_one(params.e2)
     denom = 1 - p1 + p4
     if denom == 0.0:
         raise DegenerateParameterError(

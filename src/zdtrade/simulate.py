@@ -35,6 +35,16 @@ from .payoffs import GameParams, STATE_NAMES, StateIndex, build_payoffs
 # Markov chain are autocorrelated, so naive i.i.d. errors would lie).
 BATCH_COUNT = 100
 
+# play_rounds draws _BLOCK rounds at a time and folds them in chunks of
+# _CHUNK rounds; neither changes a result.
+_BLOCK = 1 << 16
+_CHUNK = 128
+
+# A run peaks at ~118 bytes per round with collect_trace and Trace.to_csv
+# (tracemalloc, 1e6 rounds; ~27 bytes without the trace): the ceiling keeps
+# one call under ~1.9 GB.
+MAX_ROUNDS = 16_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -49,8 +59,9 @@ class SimConfig:
     initial_state: StateIndex = StateIndex.CC
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise InvalidParameterError("rounds must be >= 1")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise InvalidParameterError(
+                f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
         if not 0 <= self.burn_in < self.rounds:
             raise InvalidParameterError("burn_in must satisfy 0 <= burn_in < rounds")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
@@ -140,6 +151,31 @@ def _batch_se(x: np.ndarray) -> float:
     return float(means.std(ddof=1) / np.sqrt(BATCH_COUNT))
 
 
+def _fold(table: np.ndarray, state: int) -> np.ndarray:
+    """The states reached from `state` through the next-state table
+    (rows, 4), rows a multiple of _CHUNK: row t maps the state before
+    round t+1 to the state after it.
+
+    A chunked prefix composition (Blelloch 1990): all chunks advance all
+    four start states at once, one row per numpy step, then one loop over
+    the chunks picks each chunk's real start state and its path.
+    """
+    chunks = table.shape[0] // _CHUNK
+    flat = table.ravel()
+    at = np.arange(0, flat.size, 4 * _CHUNK)[:, None]
+    # paths[j, c, k]: the state after row j of chunk c entered in state k
+    paths = np.empty((_CHUNK, chunks, 4), dtype=np.int8)
+    ends = np.broadcast_to(np.arange(4, dtype=np.int8), (chunks, 4))
+    for j in range(_CHUNK):
+        ends = paths[j] = np.take(flat, at + ends)
+        at += 4
+    starts = []
+    for row in ends.tolist():
+        starts.append(state)
+        state = row[state]
+    return paths[:, np.arange(chunks), starts].T.ravel()
+
+
 def play_rounds(config: SimConfig, collect_trace: bool = False):
     """Run the game for config.rounds rounds.
 
@@ -148,38 +184,50 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
     fixed order (provider obs, provider action, collector obs, collector
     action), one quadruple per round, whether or not a step needs
     randomness.
+
+    The quadruples are drawn _BLOCK rounds at a time (PCG64 block draws
+    continue the one stream exactly).  Each block becomes a table of the
+    next state for every round and previous state, and _fold walks the
+    actual trajectory through it.  This is draw-for-draw identical to a
+    plain sequential loop.
     """
     params, rounds = config.params, config.rounds
-    pvec = config.p.vector
+    p1, p2, p3, p4 = config.p.vector
     q1, q2 = config.q.q1, config.q.q2
     e1, e2 = params.e1, params.e2
     payoff = build_payoffs(params)
-
     rng = np.random.default_rng(config.seed)
-    u = rng.random((rounds, 4))
 
-    # Evaluate the round for every possible previous state, then fold the
-    # actual trajectory through the per-round lookup tables.  This is
-    # draw-for-draw identical to a plain sequential loop.
-    prev_y_coop = np.array([True, False, True, False])   # per StateIndex
-    prev_x_coop = np.array([True, True, False, False])
-    obs_g = prev_y_coop[None, :] | (u[:, 0:1] < e2)      # (rounds, 4)
-    obs_g[0, :] = True  # fictitious round-1 outcome: initial action + g
-    # outcome index: Cg=0, Cb=1, Dg=2, Db=3
-    outcome = np.where(prev_x_coop[None, :], 0, 2) + np.where(obs_g, 0, 1)
-    x_coop = u[:, 1:2] < pvec[outcome]                   # provider plays C
-    col_obs_g = x_coop | (u[:, 2:3] >= e1)               # defection seen b w.p. e1
-    y_coop = u[:, 3:4] < np.where(col_obs_g, q1, q2)
-    next_state = np.where(x_coop, 0, 2) + np.where(y_coop, 0, 1)
-
-    flat = next_state.astype(np.int8).ravel().tolist()
-    state = int(config.initial_state)
-    states = [state]
-    append = states.append
-    for t in range(rounds):
-        state = flat[4 * t + state]
-        append(state)
-    seq = np.asarray(states, dtype=np.intp)
+    # seq[t]: the state before round t+1
+    seq = np.empty(rounds + 1, dtype=np.int8)
+    seq[0] = int(config.initial_state)
+    if collect_trace:
+        provider_obs_g = np.empty(rounds, dtype=bool)
+        collector_obs_g = np.empty(rounds, dtype=bool)
+    for start in range(0, rounds, _BLOCK):
+        n = min(_BLOCK, rounds - start)
+        u_obs, u_act, u_cobs, u_cact = rng.random((n, 4)).T.copy()
+        g = u_obs < e2                  # the collector's defection seen as g
+        if start == 0:
+            g[0] = True                 # fictitious round-1 outcome: g
+        c1, c2, c3, c4 = (u_act < p for p in (p1, p2, p3, p4))
+        seen_g = u_cobs >= e1           # the provider's defection seen as g
+        # the collector defects after the provider played C, or D
+        d_after_c = u_cact >= q1
+        d_after_d = (seen_g & d_after_c) | (~seen_g & (u_cact >= q2))
+        # the provider cooperates after CC, CD, DC, DD
+        x = np.stack([c1, (g & c1) | (~g & c2), c3, (g & c3) | (~g & c4)],
+                     axis=1)
+        table = np.empty((-(-n // _CHUNK) * _CHUNK, 4), dtype=np.int8)
+        table[:n] = ((~x).view(np.int8) << 1) | (
+            (x & d_after_c[:, None]) | (~x & d_after_d[:, None])).view(np.int8)
+        table[n:] = np.arange(4)        # identity rows pad the last chunk
+        path = _fold(table, int(seq[start]))[:n]
+        seq[start + 1:start + n + 1] = path
+        if collect_trace:
+            prev = seq[start:start + n]
+            provider_obs_g[start:start + n] = g | (prev % 2 == 0)
+            collector_obs_g[start:start + n] = seen_g | (path < 2)
 
     realized = seq[1:]
     used = realized[config.burn_in:]
@@ -187,25 +235,23 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
     freq = counts / used.size
     up_seq = payoff.u_p[used]
     uc_seq = payoff.u_c[used]
-    ind = (used[:, None] == np.arange(4)[None, :]).astype(float)
     result = SimResult(
         state_frequencies=freq,
         s_p=float(up_seq.mean()), s_c=float(uc_seq.mean()),
         se_s_p=_batch_se(up_seq), se_s_c=_batch_se(uc_seq),
-        se_frequencies=np.array([_batch_se(ind[:, k]) for k in range(4)]),
+        se_frequencies=np.array([_batch_se((used == k).astype(float))
+                                 for k in range(4)]),
         rounds_used=int(used.size),
     )
     if not collect_trace:
         return result
 
-    rows = np.arange(rounds)
-    prev = seq[:-1]
     trace = Trace(
-        prev_state=prev.astype(np.int8),
-        provider_obs_g=obs_g[rows, prev],
-        provider_coop=x_coop[rows, prev],
-        collector_obs_g=col_obs_g[rows, prev],
-        collector_coop=y_coop[rows, prev],
+        prev_state=seq[:-1],
+        provider_obs_g=provider_obs_g,
+        provider_coop=realized < 2,
+        collector_obs_g=collector_obs_g,
+        collector_coop=realized % 2 == 0,
         u_p=payoff.u_p[realized],
         u_c=payoff.u_c[realized],
     )

@@ -361,6 +361,14 @@ def test_extort_trials_beyond_ceiling_exit_3(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_simulate_rounds_beyond_ceiling_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path,
+                       simulation={"rounds": 10**12, "p": [0.5] * 4,
+                                   "q": [0.5] * 2})
+    assert main(["simulate", "--config", cfg]) == 3
+    assert "rounds must be in [1, " in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

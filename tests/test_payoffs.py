@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from zdtrade import (GameParams, InvalidParameterError, StateIndex,
-                     build_payoffs, validate_ordering)
+from zdtrade import (DegenerateParameterError, ExtortionParams, GameParams,
+                     InvalidParameterError, StateIndex,
+                     build_extortion_strategy, build_payoffs,
+                     chi_feasible_interval, pinning_sensitivity_noise,
+                     scan_pinning_region, solve_pinning, validate_ordering)
 
 
 def test_baseline_table_values(base_params):
@@ -130,3 +133,23 @@ def test_ordering_report_flat_bool_map(base_params):
     assert set(d) == {"u_p_cc_gt_cd", "u_p_cc_dc_dd", "u_c_cd_cc_dc",
                       "u_c_cd_dd_dc", "data_valued", "privacy_sensitive"}
     assert all(isinstance(v, bool) for v in d.values())
+
+
+def test_e2_one_raises_one_message_everywhere(base_params):
+    params = base_params.replace_noise(e2=1.0)
+    calls = [
+        lambda: solve_pinning(0.5, 0.5, params),
+        lambda: scan_pinning_region(params, resolution=5),
+        lambda: pinning_sensitivity_noise(0.5, 0.5, params),
+        lambda: chi_feasible_interval(params, 1, 2),
+        lambda: build_extortion_strategy(params,
+                                         ExtortionParams(l1=1, l2=2, chi=1.5)),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(DegenerateParameterError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [
+        "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
+    ] * len(calls)

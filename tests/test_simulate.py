@@ -1,11 +1,15 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      NonUniqueStationaryError, ProviderStrategy, SimConfig,
-                     StateIndex, build_payoffs, build_transition_matrix,
-                     compare_to_analytic, expected_payoffs, play_rounds,
-                     solve_pinning)
+                     SimResult, StateIndex, Trace, build_payoffs,
+                     build_transition_matrix, compare_to_analytic,
+                     expected_payoffs, play_rounds, simulate, solve_pinning)
+from zdtrade.simulate import MAX_ROUNDS, _batch_se
 
 
 def sequential_reference(config):
@@ -237,3 +241,155 @@ def test_payoff_average_agrees_with_dot_product(mixed_config):
         float(result.state_frequencies @ payoff.u_p), abs=1e-12)
     assert result.s_c == pytest.approx(
         float(result.state_frequencies @ payoff.u_c), abs=1e-12)
+
+
+# --- the chunked fold against the lookup-table fold it replaced -------------
+
+def reference_play_rounds(config):
+    """The simulator as it was before the blocked draws and the chunked
+    fold: one (rounds, 4) uniform array, a lookup table of the next state
+    per round and previous state, a per-round Python fold, and the
+    frequency errors from a (rounds, 4) indicator matrix.  The bit-for-bit
+    oracle for play_rounds, trace included."""
+    params, rounds = config.params, config.rounds
+    pvec = config.p.vector
+    q1, q2 = config.q.q1, config.q.q2
+    e1, e2 = params.e1, params.e2
+    payoff = build_payoffs(params)
+    u = np.random.default_rng(config.seed).random((rounds, 4))
+    prev_y_coop = np.array([True, False, True, False])
+    prev_x_coop = np.array([True, True, False, False])
+    obs_g = prev_y_coop[None, :] | (u[:, 0:1] < e2)
+    obs_g[0, :] = True
+    outcome = np.where(prev_x_coop[None, :], 0, 2) + np.where(obs_g, 0, 1)
+    x_coop = u[:, 1:2] < pvec[outcome]
+    col_obs_g = x_coop | (u[:, 2:3] >= e1)
+    y_coop = u[:, 3:4] < np.where(col_obs_g, q1, q2)
+    next_state = np.where(x_coop, 0, 2) + np.where(y_coop, 0, 1)
+    state = int(config.initial_state)
+    states = [state]
+    for t in range(rounds):
+        state = int(next_state[t, state])
+        states.append(state)
+    seq = np.asarray(states, dtype=np.intp)
+    realized = seq[1:]
+    used = realized[config.burn_in:]
+    up_seq = payoff.u_p[used]
+    uc_seq = payoff.u_c[used]
+    ind = (used[:, None] == np.arange(4)[None, :]).astype(float)
+    result = SimResult(
+        state_frequencies=np.bincount(used, minlength=4) / used.size,
+        s_p=float(up_seq.mean()), s_c=float(uc_seq.mean()),
+        se_s_p=_batch_se(up_seq), se_s_c=_batch_se(uc_seq),
+        se_frequencies=np.array([_batch_se(ind[:, k]) for k in range(4)]),
+        rounds_used=int(used.size),
+    )
+    rows = np.arange(rounds)
+    prev = seq[:-1]
+    trace = Trace(
+        prev_state=prev.astype(np.int8),
+        provider_obs_g=obs_g[rows, prev], provider_coop=x_coop[rows, prev],
+        collector_obs_g=col_obs_g[rows, prev],
+        collector_coop=y_coop[rows, prev],
+        u_p=payoff.u_p[realized], u_c=payoff.u_c[realized],
+    )
+    return result, trace
+
+
+def assert_bit_equal(got, want):
+    for f in fields(want):
+        a = np.asarray(getattr(got, f.name))
+        b = np.asarray(getattr(want, f.name))
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def assert_matches_sequential(trace, config):
+    rows = sequential_reference(config)
+    states = [int(config.initial_state)] + [r[0] for r in rows[:-1]]
+    np.testing.assert_array_equal(trace.prev_state, states)
+    for k, name in enumerate(("provider_obs_g", "provider_coop",
+                              "collector_obs_g", "collector_coop"), start=1):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      [r[k] for r in rows], err_msg=name)
+    np.testing.assert_array_equal(trace.u_p, [r[5] for r in rows])
+    np.testing.assert_array_equal(trace.u_c, [r[6] for r in rows])
+
+
+_rng = np.random.default_rng(2024)
+EDGE_PLAYS = {
+    "never-merge": ((1, 0, 1, 0), (1, 0)),  # the four start states stay apart
+    "all-C": ((1, 1, 1, 1), (1, 1)),
+    "all-D": ((0, 0, 0, 0), (0, 0)),
+} | {f"random{k}": (tuple(_rng.uniform(0, 1, 4)), tuple(_rng.uniform(0, 1, 2)))
+     for k in range(2)}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 7 rounds folded in chunks of 3: every run below crosses
+    block edges, chunk edges and a padded final chunk."""
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    monkeypatch.setattr(simulate, "_CHUNK", 3)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4, 6, 7, 8, 21, 22, 1000])
+@pytest.mark.parametrize("play", EDGE_PLAYS.values(), ids=EDGE_PLAYS.keys())
+def test_chunked_fold_matches_reference_across_edges(small_blocks, base_params,
+                                                     rounds, play):
+    p, q = ProviderStrategy(*play[0]), CollectorStrategy(*play[1])
+    for initial in StateIndex:
+        for burn_in in sorted({0, rounds // 3}):
+            config = SimConfig(params=base_params, p=p, q=q, rounds=rounds,
+                               seed=rounds + 10 * initial, burn_in=burn_in,
+                               initial_state=initial)
+            result, trace = play_rounds(config, collect_trace=True)
+            want_result, want_trace = reference_play_rounds(config)
+            assert_bit_equal(result, want_result)
+            assert_bit_equal(trace, want_trace)
+            assert_bit_equal(play_rounds(config), want_result)
+            assert_matches_sequential(trace, config)
+
+
+@pytest.mark.parametrize("initial", list(StateIndex))
+def test_chunked_fold_matches_reference_at_noise_extremes(small_blocks,
+                                                         initial):
+    # e1 = 1: a defection is always seen as b; e2 just under 1: almost
+    # always seen as g
+    params = GameParams(5, 5, 2, 2, 3, 3, 1.0, 1 - 1e-12)
+    config = SimConfig(params=params, p=ProviderStrategy(0.3, 0.6, 0.2, 0.9),
+                       q=CollectorStrategy(0.4, 0.7), rounds=500, seed=6,
+                       burn_in=50, initial_state=initial)
+    result, trace = play_rounds(config, collect_trace=True)
+    want_result, want_trace = reference_play_rounds(config)
+    assert_bit_equal(result, want_result)
+    assert_bit_equal(trace, want_trace)
+    assert_matches_sequential(trace, config)
+
+
+def test_default_blocks_match_reference(base_params):
+    # 200,001 rounds: three full blocks, then a partial block whose last
+    # chunk is padded
+    config = SimConfig(params=base_params, p=ProviderStrategy(1, 0, 1, 0),
+                       q=CollectorStrategy(1, 0), rounds=200_001, seed=11,
+                       burn_in=999, initial_state=StateIndex.CD)
+    result, trace = play_rounds(config, collect_trace=True)
+    want_result, want_trace = reference_play_rounds(config)
+    assert_bit_equal(result, want_result)
+    assert_bit_equal(trace, want_trace)
+
+
+@pytest.mark.parametrize("rounds", [10**12, MAX_ROUNDS + 1])
+def test_rounds_above_ceiling_refused_before_allocating(base_params, rounds):
+    p, q = ProviderStrategy(0.5, 0.5, 0.5, 0.5), CollectorStrategy(0.5, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^rounds must be in \[1, {MAX_ROUNDS}\], "
+                                 rf"got {rounds}$"):
+            SimConfig(params=base_params, p=p, q=q, rounds=rounds, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    SimConfig(params=base_params, p=p, q=q, rounds=MAX_ROUNDS, seed=1)
