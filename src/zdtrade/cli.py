@@ -29,11 +29,11 @@ from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (BaselineDegenerateError, ConfigError,
                      DegenerateParameterError, InvalidParameterError,
                      NonUniqueStationaryError)
-from .extortion import (ExtortionParams, build_extortion_strategy,
+from .extortion import (MAX_GRID_NUM, ExtortionParams, build_extortion_strategy,
                         scan_extortion_region, verify_extortion_relation)
 from .markov import CollectorStrategy, ProviderStrategy
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
-                      validate_ordering)
+                      check_count, validate_ordering)
 from .pinning import (pinning_sensitivity_noise, pinning_sensitivity_strategy,
                       scan_pinning_region, solve_pinning)
 from .simulate import SimConfig, compare_to_analytic, play_rounds
@@ -135,12 +135,13 @@ def _require(cfg: dict, name: str, *keys: str) -> dict:
     return section
 
 
-def _grid(spec) -> np.ndarray:
-    """Noise axis from a typed e1_grid/e2_grid value."""
-    if spec is None:
-        return np.linspace(0.0, 0.9, 10)
+def _grid(section: dict, key: str) -> np.ndarray:
+    """Noise axis from a typed e1_grid/e2_grid value, 10 points over [0, 0.9]
+    when absent; `num` is refused above its ceiling before linspace allocates."""
+    spec = section.get(key) or {"num": 10, "max": 0.9}
     if isinstance(spec, list):
         return np.asarray([float(x) for x in spec])
+    check_count(f"{key}.num", spec["num"], 2, MAX_GRID_NUM)
     return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]),
                        spec["num"])
 
@@ -271,8 +272,7 @@ def _cmd_scan_extort(args, cfg, params):
     l1, l2 = float(section["l1"]), float(section["l2"])
     phi_sign = section.get("phi_sign", 1)
     chi_probe = section.get("chi_probe")
-    e1_grid = _grid(section.get("e1_grid"))
-    e2_grid = _grid(section.get("e2_grid"))
+    e1_grid, e2_grid = _grid(section, "e1_grid"), _grid(section, "e2_grid")
     grid = scan_extortion_region(params, l1, l2, e1_grid, e2_grid,
                                  phi_sign=phi_sign,
                                  chi_probe=None if chi_probe is None

@@ -16,8 +16,8 @@ class DegenerateParameterError(ZdTradeError, ValueError):
 
 
 class NonUniqueStationaryError(ZdTradeError):
-    """The transition matrix is reducible at tolerance: more than one
-    stationary distribution exists, so long-run payoffs are ill-defined."""
+    """The diagonal 3x3 cofactors of I - M sum to less than REDUCIBLE_TOL:
+    the chain has several closed classes, so long-run payoffs are ill-defined."""
 
 
 class BaselineDegenerateError(ZdTradeError, ValueError):

@@ -22,7 +22,7 @@ brute-force strategy construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from ._text import csv_text, grid_axes
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
-from .payoffs import (GameParams, STATE_NAMES, build_payoffs,
+from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_count,
                       check_e2_below_one, check_finite, payoff_arrays)
 
 DENOM_TOL = 1e-12
@@ -43,6 +43,10 @@ REASON_NO_CHI = "no_chi_above_1"
 # at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
 VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
+
+# A scan and its CSV peak at ~250 bytes per (e1, e2) cell (tracemalloc, 200^2
+# to 800^2 cells): MAX_GRID_NUM points per axis keep one scan under ~1.9 GB.
+MAX_GRID_NUM = 2700
 
 
 def _check_phi_sign(phi_sign) -> None:
@@ -295,8 +299,7 @@ class VerificationReport:
     discarded: int
 
     def as_dict(self) -> dict:
-        return {"trials": self.trials, "max_residual": self.max_residual,
-                "discarded": self.discarded}
+        return asdict(self)
 
 
 def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
@@ -310,8 +313,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     """
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    check_count("trials", trials, 1, MAX_TRIALS)
     if isinstance(rng, (int, np.integer)) and rng < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {rng!r}")
     rng = np.random.default_rng(rng)
@@ -392,6 +394,7 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):
         if axis.ndim != 1 or axis.size < 2:
             raise InvalidParameterError(f"{name} must be 1-D with >= 2 points")
+        check_count(f"{name} size", axis.size, 2, MAX_GRID_NUM)
         if not np.all((axis >= 0) & (axis < 1)):
             raise InvalidParameterError(
                 f"{name} values must be finite and lie in [0, 1)")

@@ -27,9 +27,12 @@ from .errors import InvalidParameterError, NonUniqueStationaryError
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       check_unit_interval)
 
-# Reducibility tolerance: the chain is declared non-unique when the two
-# smallest singular values of M - I are both below this.
+# Tolerance on the sum of the diagonal 3x3 cofactors of I - M: the product of
+# its three nonzero eigenvalues, 0 when the chain has more than one closed
+# class.  Near such a chain the sum is 0.5x-1.5x the third singular value of
+# I - M, so a 1e-9 test on either agrees unless that value is within 2x of 1e-9.
 REDUCIBLE_TOL = 1e-9
+_REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # _REST[i]: states but i
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,15 @@ class CollectorStrategy:
         return cls(*q)
 
 
-def _pvec(p) -> np.ndarray:
-    if isinstance(p, ProviderStrategy):
-        return p.vector
-    return ProviderStrategy.from_vector(p).vector
-
-
-def _qvec(q) -> np.ndarray:
-    if isinstance(q, CollectorStrategy):
-        return q.vector
-    return CollectorStrategy.from_vector(q).vector
+def _vector(cls, x) -> np.ndarray:
+    """The probabilities of x, a `cls` strategy or a sequence checked as one."""
+    return (x if isinstance(x, cls) else cls.from_vector(x)).vector
 
 
 def _provider_factors(p, e2: float) -> np.ndarray:
     """F[v, w]: probability that the provider plays the action of next
     state w (C for CC/CD, D for DC/DD) after previous state v."""
-    pv = _pvec(p)
+    pv = _vector(ProviderStrategy, p)
 
     def masked(f):
         return np.array([f[0], e2 * f[0] + (1 - e2) * f[1],
@@ -149,12 +145,14 @@ def collector_transition_factor(w: StateIndex, q, e1: float) -> float:
         G(w=DC) = (1-e1) q1 + e1 q2
         G(w=DD) = (1-e1)(1-q1) + e1 (1-q2)
     """
-    return float(_collector_factors(_qvec(q)[None], e1)[0, StateIndex(w)])
+    qs = _vector(CollectorStrategy, q)[None]
+    return float(_collector_factors(qs, e1)[0, StateIndex(w)])
 
 
 def build_transition_matrix(p, q, params: GameParams) -> np.ndarray:
     """4x4 row-stochastic transition matrix, rows = previous state."""
-    return build_transition_matrices(p, _qvec(q)[None], params)[0]
+    return build_transition_matrices(
+        p, _vector(CollectorStrategy, q)[None], params)[0]
 
 
 def build_transition_matrices(p, qs, params: GameParams) -> np.ndarray:
@@ -165,11 +163,21 @@ def build_transition_matrices(p, qs, params: GameParams) -> np.ndarray:
     return _provider_factors(p, params.e2)[None] * g[:, None, :]
 
 
+def _minor3(a, rows, cols) -> np.ndarray:
+    """3x3 minors of a (..., 4, k) stack on a row and a column triple,
+    expanded along the first row over strided views (no fancy-index copy)."""
+    x, y, z = ([a[..., r, c] for c in cols] for r in rows)
+    return (x[0] * (y[1] * z[2] - y[2] * z[1])
+            - x[1] * (y[0] * z[2] - y[2] * z[0])
+            + x[2] * (y[0] * z[1] - y[1] * z[0]))
+
+
 def _reducible(ms: np.ndarray) -> np.ndarray:
-    """Per matrix of an (n, 4, 4) stack: True when the two smallest
-    singular values of M - I are both below REDUCIBLE_TOL."""
-    s = np.linalg.svd(ms - np.eye(4), compute_uv=False)
-    return s[:, 2] < REDUCIBLE_TOL
+    """Per matrix of an (n, 4, 4) stack: True when the diagonal 3x3
+    cofactors of I - M, each >= 0 and proportional to one stationary entry
+    (Markov chain tree theorem), sum to less than REDUCIBLE_TOL."""
+    a = np.eye(4) - ms
+    return sum(_minor3(a, rest, rest) for rest in _REST) < REDUCIBLE_TOL
 
 
 def stationary_distribution(m) -> np.ndarray:
@@ -192,10 +200,10 @@ def stationary_distribution(m) -> np.ndarray:
 def stationary_distributions(ms: np.ndarray) -> np.ndarray:
     """Stationary row vectors of an (n, 4, 4) stack of transition matrices.
 
-    Solves each singular balance system with the normalisation constraint
-    appended (one redundant balance row is dropped, since the balance rows
-    always sum to zero).  Raises NonUniqueStationaryError for reducible
-    chains instead of silently picking one of many stationary vectors.
+    Solves each balance system with the normalisation constraint appended
+    (one redundant balance row is dropped, since the balance rows always
+    sum to zero).  Raises NonUniqueStationaryError for chains `_reducible`
+    flags instead of silently picking one of many stationary vectors.
     """
     ms = np.asarray(ms, dtype=float)
     if np.any(_reducible(ms)):
@@ -206,9 +214,7 @@ def stationary_distributions(ms: np.ndarray) -> np.ndarray:
         )
     a = np.transpose(ms, (0, 2, 1)) - np.eye(4)
     a[:, 3, :] = 1.0
-    b = np.zeros((ms.shape[0], 4, 1))
-    b[:, 3, 0] = 1.0
-    v = np.linalg.solve(a, b)[..., 0]
+    v = np.linalg.solve(a, np.eye(4)[None, :, 3:])[..., 0]  # a v = (0, 0, 0, 1)
     v = np.where(np.abs(v) < 1e-14, 0.0, v)  # scrub solver dust at corners
     return v / v.sum(axis=1, keepdims=True)
 
@@ -297,12 +303,6 @@ def zd_columns(p, q, params: GameParams) -> ZdColumns:
                      collector_zd_column(q, params.e1))
 
 
-def _det3(a) -> float:
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-
 def zd_determinant(cols: ZdColumns, f) -> float:
     """det[first_col, p_hat, q_hat, f], expanded by minors on the last
     column.  Proportional to v . f, so ratios of determinants sharing the
@@ -311,13 +311,8 @@ def zd_determinant(cols: ZdColumns, f) -> float:
     if f.shape != (4,):
         raise InvalidParameterError("f must be a 4-vector")
     base = np.stack([cols.first_col, cols.p_hat, cols.q_hat], axis=1)
-    det = 0.0
-    sign = -1.0  # (-1)**(row+col) for row 0, col 3
-    for r in range(4):
-        rows = [base[i] for i in range(4) if i != r]
-        det += sign * f[r] * _det3(rows)
-        sign = -sign
-    return float(det)
+    return float(sum((-1) ** (r + 3) * f[r] * _minor3(base, rest, (0, 1, 2))
+                     for r, rest in enumerate(_REST)))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ mask).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -45,6 +45,12 @@ def check_unit_interval(**values) -> None:
     for name, v in values.items():
         if not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+
+
+def check_count(name, value, low, high) -> None:
+    """Raise InvalidParameterError unless low <= value <= high."""
+    if not low <= value <= high:
+        raise InvalidParameterError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 def check_e2_below_one(e2) -> None:
@@ -201,14 +207,7 @@ class OrderingReport:
                 and self.u_c_cd_cc_dc and self.u_c_cd_dd_dc)
 
     def as_dict(self) -> dict:
-        return {
-            "u_p_cc_gt_cd": self.u_p_cc_gt_cd,
-            "u_p_cc_dc_dd": self.u_p_cc_dc_dd,
-            "u_c_cd_cc_dc": self.u_c_cd_cc_dc,
-            "u_c_cd_dd_dc": self.u_c_cd_dd_dc,
-            "data_valued": self.data_valued,
-            "privacy_sensitive": self.privacy_sensitive,
-        }
+        return asdict(self)
 
 
 def validate_ordering(payoffs: PayoffVectors) -> OrderingReport:

@@ -21,12 +21,16 @@ import numpy as np
 from ._text import csv_text, grid_axes
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
-from .payoffs import (GameParams, build_payoffs, check_e2_below_one,
-                      check_unit_interval)
+from .payoffs import (GameParams, build_payoffs, check_count,
+                      check_e2_below_one, check_unit_interval)
 
 # p2/p3 may overshoot [0, 1] by this much and still count as feasible
 # (then clamped); region boundaries are rounding-sensitive.
 BOUNDARY_TOL = 1e-9
+
+# A scan and its CSV peak at ~200 bytes per (p1, p4) cell (tracemalloc,
+# resolution 301 to 1001): at most MAX_RESOLUTION keeps one scan under ~1.9 GB.
+MAX_RESOLUTION = 3000
 
 # Reasons attached to infeasible cells.
 REASON_P2_RANGE = "p2_out_of_range"
@@ -235,8 +239,7 @@ def scan_pinning_region(params: GameParams, resolution: int = 101,
     compatibility only: the scan runs in one thread and its output does
     not depend on it.
     """
-    if resolution < 2:
-        raise InvalidParameterError("resolution must be at least 2")
+    check_count("resolution", resolution, 2, MAX_RESOLUTION)
     u_c, a, b, d1 = _pinning_constants(params)
     axis = np.linspace(0.0, 1.0, resolution)
     p2, p3, pinned, feasible, code = _solve_cells(

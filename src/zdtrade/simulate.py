@@ -29,7 +29,8 @@ import numpy as np
 from ._text import csv_text, table
 from .errors import InvalidParameterError
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
-from .payoffs import GameParams, STATE_NAMES, StateIndex, build_payoffs
+from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
+                      check_count)
 
 # Batches used for the batch-means standard errors (round averages of a
 # Markov chain are autocorrelated, so naive i.i.d. errors would lie).
@@ -59,11 +60,8 @@ class SimConfig:
     initial_state: StateIndex = StateIndex.CC
 
     def __post_init__(self):
-        if not 1 <= self.rounds <= MAX_ROUNDS:
-            raise InvalidParameterError(
-                f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
-        if not 0 <= self.burn_in < self.rounds:
-            raise InvalidParameterError("burn_in must satisfy 0 <= burn_in < rounds")
+        check_count("rounds", self.rounds, 1, MAX_ROUNDS)
+        check_count("burn_in", self.burn_in, 0, self.rounds - 1)
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from zdtrade.cli import _SCHEMA, main
+from zdtrade.extortion import MAX_GRID_NUM
+from zdtrade.pinning import MAX_RESOLUTION
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -217,6 +220,34 @@ def test_non_finite_noise_axis_exit_3(tmp_path, capsys):
                  "--out", str(tmp_path / "e.csv")]) == 3
     assert "e1_grid values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("command,section,message", [
+    ("scan-pin", {"pinning": {"resolution": 10**12}},
+     f"resolution must be in [2, {MAX_RESOLUTION}], got {10**12}"),
+    ("scan-extort", {"extortion": {"l1": 1, "l2": 2,
+                                   "e1_grid": {"num": 10**12, "max": 0.9}}},
+     f"e1_grid.num must be in [2, {MAX_GRID_NUM}], got {10**12}"),
+    ("scan-extort", {"extortion": {"l1": 1, "l2": 2,
+                                   "e2_grid": {"num": MAX_GRID_NUM + 1,
+                                               "max": 0.9}}},
+     f"e2_grid.num must be in [2, {MAX_GRID_NUM}], got {MAX_GRID_NUM + 1}"),
+])
+def test_oversized_scan_exit_3_before_allocating(tmp_path, capsys, command,
+                                                 section, message):
+    cfg = write_config(tmp_path, **section)
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"invalid parameters: {message}\n"
+    assert peak < 1_000_000
+    assert not out.exists()
 
 
 def test_simulate_all_cooperate_summary(tmp_path, capsys):

@@ -13,7 +13,8 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      expected_payoffs_many, phi_feasible_interval,
                      reducible_mask, scan_extortion_region,
                      verify_extortion_relation)
-from zdtrade.extortion import MAX_TRIALS, ExtortionGrid, VerificationReport
+from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, ExtortionGrid,
+                               VerificationReport)
 
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
@@ -353,6 +354,15 @@ def test_scan_grid_validation(base_params):
     with pytest.raises(InvalidParameterError):
         scan_extortion_region(base_params, 1, 2, np.array([0.0, 1.0]),
                               np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("name", ["e1_grid", "e2_grid"])
+def test_scan_refuses_axis_above_ceiling(base_params, name):
+    axes = {"e1_grid": [0.1, 0.2], "e2_grid": [0.1, 0.2],
+            name: np.linspace(0.0, 0.9, MAX_GRID_NUM + 1)}
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^{name} size must be in \[2, {MAX_GRID_NUM}\]"):
+        scan_extortion_region(base_params, 1, 2, **axes)
 
 
 def test_scan_axis_must_be_finite(base_params):

@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      NonUniqueStationaryError, ProviderStrategy, StateIndex,
@@ -13,6 +15,8 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      reducible_mask,
                      stationary_distribution, stationary_distributions,
                      zd_columns, zd_determinant)
+
+from zdtrade.markov import REDUCIBLE_TOL, _REST, _minor3, _reducible
 
 from conftest import power_stationary, reference_matrix
 
@@ -188,6 +192,79 @@ def test_stationary_input_validation():
         stationary_distribution(nan_entry)
 
 
+# --- reducibility and the Markov chain tree theorem -------------------------
+
+def third_singular_value(ms):
+    return np.linalg.svd(ms - np.eye(4), compute_uv=False)[:, 2]
+
+
+def reference_reducible(ms):
+    """The singular-value test the cofactor test replaced: the two smallest
+    singular values of M - I both below REDUCIBLE_TOL."""
+    return third_singular_value(ms) < REDUCIBLE_TOL
+
+
+def diagonal_cofactors(ms):
+    a = np.eye(4) - ms
+    return np.stack([_minor3(a, rest, rest) for rest in _REST], axis=-1)
+
+
+def chain_stack(draws):
+    """Transition matrices of (p1..p4, q1, q2, e1, e2) draws."""
+    return np.array([build_transition_matrix(
+        d[:4], d[4:6], GameParams(5, 5, 2, 2, 3, 3, *d[6:])) for d in draws])
+
+
+EPS = st.floats(-14, -2).map(lambda k: 10.0 ** k)
+INTERIOR = st.floats(0.05, 0.95)
+NEAR_CORNER = st.one_of(st.sampled_from([0.0, 1.0]), EPS,
+                        EPS.map(lambda e: 1.0 - e), INTERIOR)
+
+
+def chains(values):
+    return st.lists(st.tuples(*[values] * 8), min_size=1,
+                    max_size=64).map(chain_stack)
+
+
+def test_cofactor_reducibility_matches_svd_at_exact_corners():
+    ms = chain_stack(itertools.product([0.0, 1.0], repeat=8))
+    flagged = _reducible(ms)
+    assert np.array_equal(flagged, reference_reducible(ms))
+    assert flagged.any() and not flagged.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ms=chains(INTERIOR))
+def test_cofactor_reducibility_matches_svd_on_interior_chains(ms):
+    assert np.array_equal(_reducible(ms), reference_reducible(ms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ms=chains(NEAR_CORNER))
+def test_cofactor_reducibility_matches_svd_outside_the_tolerance_band(ms):
+    # near a reducible chain the cofactor sum stays within 0.5x-1.5x of the
+    # third singular value, so the tests may disagree only where both are ~1e-9
+    s = third_singular_value(ms)
+    clear = (s < REDUCIBLE_TOL / 2) | (s > 2 * REDUCIBLE_TOL)
+    assert np.array_equal(_reducible(ms)[clear], reference_reducible(ms)[clear])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ms=chains(INTERIOR))
+def test_markov_chain_tree_identities(ms):
+    v = stationary_distributions(ms)
+    cof = diagonal_cofactors(ms)
+    total = cof.sum(axis=1)
+    assert np.max(np.abs(v - cof / total[:, None])) <= 1e-12
+    assert np.max(np.abs(v.sum(axis=1) - 1)) <= 1e-12
+    assert np.max(np.abs(np.einsum("ki,kij->kj", v, ms) - v)) <= 1e-12
+    eig = np.linalg.eigvals(np.eye(4) - ms)
+    eig = np.take_along_axis(eig, np.argsort(np.abs(eig), axis=1), axis=1)
+    nonzero = np.prod(eig[:, 1:], axis=1)
+    assert np.max(np.abs(nonzero.imag) / total) <= 1e-12
+    assert np.max(np.abs(nonzero.real - total) / total) <= 1e-12
+
+
 # --- determinant form ------------------------------------------------------
 
 def test_zd_columns_depend_only_on_own_noise():
@@ -228,6 +305,17 @@ def test_determinant_ratio_equals_stationary_average():
         assert zd_determinant(cols, f) / d_norm == pytest.approx(
             float(v @ f), abs=1e-9)
         checked += 1
+
+
+def test_zd_determinant_is_the_4x4_determinant():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        params = GameParams(5, 5, 2, 2, 3, 3, *rng.uniform(0, 0.9, 2))
+        cols = zd_columns(rng.random(4), rng.random(2), params)
+        f = rng.uniform(-10, 10, 4)
+        full = np.stack([cols.first_col, cols.p_hat, cols.q_hat, f], axis=1)
+        assert zd_determinant(cols, f) == pytest.approx(np.linalg.det(full),
+                                                        rel=1e-9, abs=1e-12)
 
 
 def test_pinning_column_choice_zeroes_determinant(base_params):

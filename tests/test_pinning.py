@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zdtrade import (DegenerateParameterError, GameParams,
                      expected_payoffs_many, pinning_sensitivity_noise,
                      pinning_sensitivity_strategy, reducible_mask,
                      scan_pinning_region, solve_pinning)
+from zdtrade.pinning import MAX_RESOLUTION
 
 
 def test_baseline_solution_values(base_params):
@@ -238,6 +240,21 @@ def test_scan_resolution_two_is_corners(base_params):
     assert grid.reason(1, 0) == "pinned_value_undefined_at_p1_1_p4_0"
     with pytest.raises(InvalidParameterError):
         scan_pinning_region(base_params, resolution=1)
+
+
+@pytest.mark.parametrize("resolution", [10**12, MAX_RESOLUTION + 1])
+def test_scan_refuses_resolution_above_ceiling_before_allocating(base_params,
+                                                                 resolution):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^resolution must be in \[2, {MAX_RESOLUTION}\], "
+                                 rf"got {resolution}$"):
+            scan_pinning_region(base_params, resolution=resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_scan_jobs_do_not_change_output(base_params):
