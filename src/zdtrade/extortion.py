@@ -29,7 +29,7 @@ import numpy as np
 
 from ._text import csv_text, grid_axes
 from .errors import BaselineDegenerateError, InvalidParameterError
-from .markov import ProviderStrategy, expected_payoffs_many, reducible_mask
+from .markov import ProviderStrategy, irreducible_payoffs
 from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_count,
                       check_e2_below_one, check_finite, payoff_arrays)
 
@@ -323,14 +323,11 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     remaining = trials
     while remaining > 0:
         qs = rng.random((min(remaining, VERIFY_PASS), 2))
-        bad = reducible_mask(strategy, qs, params)
+        bad, s_p, s_c = irreducible_payoffs(strategy, qs, params)
         discarded += int(bad.sum())
-        qs = qs[~bad]
-        if qs.shape[0]:
-            s_p, s_c = expected_payoffs_many(strategy, qs, params)
-            residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
-            max_residual = max(max_residual, float(residual.max()))
-            remaining -= qs.shape[0]
+        residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
+        max_residual = float(np.max(residual, initial=max_residual))
+        remaining -= s_p.size
         if discarded > 100 * trials:
             raise InvalidParameterError(
                 "too many reducible draws; the strategy pins the chain"

@@ -181,40 +181,43 @@ def _reducible(ms: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(m) -> np.ndarray:
-    """Stationary row vector v with v M = v, sum(v) = 1, v >= 0.
+    """Stationary row vector v with v M = v, sum(v) = 1, v >= 0 (n = 1)."""
+    return stationary_distributions(np.asarray(m, dtype=float)[None])[0]
 
-    Checks that m is a 4x4 row-stochastic matrix, then solves it as a
-    batch of one with `stationary_distributions`.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
+
+def stationary_distributions(ms) -> np.ndarray:
+    """Stationary row vectors of an (n, 4, 4) stack of row-stochastic
+    matrices.  Raises NonUniqueStationaryError for chains `_reducible`
+    flags instead of silently picking one of many stationary vectors."""
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise InvalidParameterError("transition matrix must be 4x4")
-    if not np.all((m >= -1e-12) & (m <= 1 + 1e-12)):
+    if not np.all((ms >= -1e-12) & (ms <= 1 + 1e-12)):
         raise InvalidParameterError(
             "transition probabilities must be finite and lie in [0, 1]")
-    if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
+    if np.any(np.abs(ms.sum(axis=2) - 1.0) > 1e-9):
         raise InvalidParameterError("transition matrix rows must sum to 1")
-    return stationary_distributions(m[None])[0]
+    _refuse_reducible(_reducible(ms))
+    return _solve(ms)
 
 
-def stationary_distributions(ms: np.ndarray) -> np.ndarray:
-    """Stationary row vectors of an (n, 4, 4) stack of transition matrices.
-
-    Solves each balance system with the normalisation constraint appended
-    (one redundant balance row is dropped, since the balance rows always
-    sum to zero).  Raises NonUniqueStationaryError for chains `_reducible`
-    flags instead of silently picking one of many stationary vectors.
-    """
-    ms = np.asarray(ms, dtype=float)
-    if np.any(_reducible(ms)):
+def _refuse_reducible(reducible: np.ndarray) -> None:
+    if reducible.any():
         raise NonUniqueStationaryError(
             "transition matrix is reducible at tolerance; the stationary "
             "distribution is not unique (perturb strategy entries away "
             "from 0/1 corners)"
         )
+
+
+def _solve(ms: np.ndarray) -> np.ndarray:
+    """Solves each irreducible balance system with the normalisation
+    constraint appended (one redundant balance row is dropped, since the
+    balance rows always sum to zero)."""
     a = np.transpose(ms, (0, 2, 1)) - np.eye(4)
     a[:, 3, :] = 1.0
     v = np.linalg.solve(a, np.eye(4)[None, :, 3:])[..., 0]  # a v = (0, 0, 0, 1)
+    del a  # free the balance stack before the scrub allocates: a lower peak
     v = np.where(np.abs(v) < 1e-14, 0.0, v)  # scrub solver dust at corners
     return v / v.sum(axis=1, keepdims=True)
 
@@ -240,17 +243,22 @@ def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
     return StationaryResult(v, float(v @ pv.u_p), float(v @ pv.u_c))
 
 
-def expected_payoffs_many(p, qs, params: GameParams):
-    """Batched expected payoffs against many collector strategies.
-
-    Returns (s_p, s_c) arrays of length n.  Raises if any matrix in the
-    batch is reducible; callers that tolerate reducible draws should
-    filter via `reducible_mask` first.
-    """
+def irreducible_payoffs(p, qs, params: GameParams):
+    """(reducible, s_p, s_c): each draw's chain built and tested once, and
+    the long-run payoffs of the irreducible ones in draw order."""
     ms = build_transition_matrices(p, qs, params)
-    vs = stationary_distributions(ms)
+    reducible = _reducible(ms)
+    vs = _solve(ms[~reducible] if reducible.any() else ms)  # copy only if needed
     pv = build_payoffs(params)
-    return vs @ pv.u_p, vs @ pv.u_c
+    return reducible, vs @ pv.u_p, vs @ pv.u_c
+
+
+def expected_payoffs_many(p, qs, params: GameParams):
+    """Batched expected payoffs (s_p, s_c) against many collector strategies;
+    raises if any chain is reducible (`irreducible_payoffs` drops those)."""
+    reducible, s_p, s_c = irreducible_payoffs(p, qs, params)
+    _refuse_reducible(reducible)
+    return s_p, s_c
 
 
 def reducible_mask(p, qs, params: GameParams) -> np.ndarray:

@@ -107,13 +107,18 @@ class Trace:
             )
 
     def to_csv(self) -> str:
+        # collector_action, u_p and u_c depend only on the state a round forms:
+        # one column formats them once per state, from a round `at` forming it
+        state = (~self.provider_coop).view(np.int8) * 2 + ~self.collector_coop
+        at = [int(np.argmax(state == s)) for s in range(4)] if len(self) else []
+        formed = table([f"{a},{p},{c}" for a, p, c in
+                        zip("CDCD", table(self.u_p[at]), table(self.u_c[at]))])
         return csv_text(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
             [np.arange(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
              table("bg", self.provider_obs_g), table("DC", self.provider_coop),
-             table("bg", self.collector_obs_g), table("DC", self.collector_coop),
-             self.u_p, self.u_c],
+             table("bg", self.collector_obs_g), formed.take(state)],
         )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdtrade.extortion as extortion
+import zdtrade.markov as markov
 from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      GameParams, InvalidParameterError,
                      build_extortion_strategy, build_payoffs, chi_bounds,
@@ -547,7 +548,10 @@ def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
     def flag(strategy, qs, params):   # a deterministic "reducible" subset
         return qs[:, 0] < 0.3
 
-    monkeypatch.setattr(extortion, "reducible_mask", flag)
+    def flag_chains(ms):   # the same subset, read from M[CC, CC] = p1 q1
+        return ms[:, 0, 0] < sol.strategy.p1 * 0.3
+
+    monkeypatch.setattr(markov, "_reducible", flag_chains)
     monkeypatch.setattr(extortion, "VERIFY_PASS", 7)
     report = verify_extortion_relation(sol, base_params, ext, trials=100, rng=3)
     # one pass draws every remaining trial at once

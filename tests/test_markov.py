@@ -16,7 +16,8 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      stationary_distribution, stationary_distributions,
                      zd_columns, zd_determinant)
 
-from zdtrade.markov import REDUCIBLE_TOL, _REST, _minor3, _reducible
+from zdtrade.markov import (REDUCIBLE_TOL, _REST, _minor3, _reducible,
+                            irreducible_payoffs)
 
 from conftest import power_stationary, reference_matrix
 
@@ -190,6 +191,87 @@ def test_stationary_input_validation():
     nan_entry[1, 2] = np.nan
     with pytest.raises(InvalidParameterError):
         stationary_distribution(nan_entry)
+
+
+def stack_with_last(bad):
+    """Two valid chains followed by `bad`."""
+    good = build_transition_matrix((0.6, 0.4, 0.5, 0.3), (0.3, 0.7),
+                                   GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5))
+    return np.stack([good, good, bad])
+
+
+def with_entry(value, row=1, col=2):
+    m = np.full((4, 4), 0.25)
+    m[row, col] = value
+    return m
+
+
+@pytest.mark.parametrize("ms, message", [
+    (stack_with_last(with_entry(np.nan)), "must be finite and lie in"),
+    (stack_with_last(with_entry(np.inf)), "must be finite and lie in"),
+    (stack_with_last(with_entry(-np.inf)), "must be finite and lie in"),
+    (stack_with_last(np.full((4, 4), 0.3)), "rows must sum to 1"),
+    (stack_with_last(with_entry(0.26)), "rows must sum to 1"),
+    (np.full((2, 3, 3), 1 / 3), "must be 4x4"),
+    (np.full((4, 4), 0.25), "must be 4x4"),
+    (np.full((1, 1, 4, 4), 0.25), "must be 4x4"),
+])
+def test_stationary_distributions_validates_every_matrix(ms, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        stationary_distributions(ms)
+    if ms.shape[1:] == (4, 4):   # the scalar call gives the same message
+        with pytest.raises(InvalidParameterError, match=message):
+            stationary_distribution(ms[-1])
+
+
+# --- the one-pass engine ------------------------------------------------------
+
+CORNER_OR_INTERIOR = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+
+
+def assert_engine_matches_mask_filter_and_solve(p, qs, params):
+    """`irreducible_payoffs` bit for bit against reducible_mask, the filter
+    and a fresh build and solve of the kept draws (the batched payoffs as
+    they were computed before the engine), and against the strict call."""
+    reducible, s_p, s_c = irreducible_payoffs(p, qs, params)
+    mask = reducible_mask(p, qs, params)
+    assert reducible.dtype == bool and np.array_equal(reducible, mask)
+    vs = stationary_distributions(build_transition_matrices(p, qs[~mask], params))
+    pv = build_payoffs(params)
+    want_p, want_c = vs @ pv.u_p, vs @ pv.u_c
+    assert s_p.shape == want_p.shape == (int((~mask).sum()),)
+    assert s_p.tobytes() == want_p.tobytes()
+    assert s_c.tobytes() == want_c.tobytes()
+    strict_p, strict_c = expected_payoffs_many(p, qs[~mask], params)
+    assert strict_p.tobytes() == want_p.tobytes()
+    assert strict_c.tobytes() == want_c.tobytes()
+    return reducible
+
+
+def test_engine_on_mixed_batches(base_params):
+    rng = np.random.default_rng(32)
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
+    qs = np.concatenate([corners, rng.random((60, 2)), corners])[
+        rng.permutation(68)]
+    interior = (0.9166666666666666, 0.5, 0.041666666666666664, 0.125)
+    flagged = {p: assert_engine_matches_mask_filter_and_solve(
+        p, qs, base_params).sum() for p in
+        [interior, (1.0, 0.5, 0.0, 0.5), (1.0, 1.0, 0.0, 0.0)]}
+    # none, some (the q = (1, 1) draws: CC and DC absorb) and all flagged
+    assert flagged == {interior: 0, (1.0, 0.5, 0.0, 0.5): 2,
+                       (1.0, 1.0, 0.0, 0.0): 68}
+    with pytest.raises(NonUniqueStationaryError, match="reducible at tolerance"):
+        expected_payoffs_many((1.0, 0.5, 0.0, 0.5), qs, base_params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.tuples(*[CORNER_OR_INTERIOR] * 4),
+       qs=st.lists(st.tuples(CORNER_OR_INTERIOR, CORNER_OR_INTERIOR),
+                   min_size=1, max_size=32).map(np.array),
+       noise=st.tuples(CORNER_OR_INTERIOR, CORNER_OR_INTERIOR))
+def test_engine_matches_mask_filter_and_solve(p, qs, noise):
+    assert_engine_matches_mask_filter_and_solve(
+        p, qs, GameParams(5, 5, 2, 2, 3, 3, *noise))
 
 
 # --- reducibility and the Markov chain tree theorem -------------------------
