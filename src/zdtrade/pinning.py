@@ -28,8 +28,8 @@ from .payoffs import (GameParams, build_payoffs, check_count,
 # (then clamped); region boundaries are rounding-sensitive.
 BOUNDARY_TOL = 1e-9
 
-# A scan and its CSV peak at ~200 bytes per (p1, p4) cell (tracemalloc,
-# resolution 301 to 1001): at most MAX_RESOLUTION keeps one scan under ~1.9 GB.
+# A scan and its CSV peak at ~150-180 bytes per (p1, p4) cell (tracemalloc,
+# resolution 1001 to 301): at most MAX_RESOLUTION keeps one scan under ~1.6 GB.
 MAX_RESOLUTION = 3000
 
 # Reasons attached to infeasible cells.

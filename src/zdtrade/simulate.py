@@ -41,9 +41,9 @@ BATCH_COUNT = 100
 _BLOCK = 1 << 16
 _CHUNK = 128
 
-# A run peaks at ~118 bytes per round with collect_trace and Trace.to_csv
-# (tracemalloc, 1e6 rounds; ~27 bytes without the trace): the ceiling keeps
-# one call under ~1.9 GB.
+# A run peaks at ~85 bytes per round with collect_trace and Trace.to_csv
+# (tracemalloc, 2e5 and 1e6 rounds; ~27 bytes without the trace): the
+# ceiling keeps one call under ~1.4 GB.
 MAX_ROUNDS = 16_000_000
 
 
@@ -107,18 +107,17 @@ class Trace:
             )
 
     def to_csv(self) -> str:
-        # collector_action, u_p and u_c depend only on the state a round forms:
-        # one column formats them once per state, from a round `at` forming it
+        # u_p and u_c depend only on the state a round forms: each is a
+        # column of the four states' values, coded by that state
         state = (~self.provider_coop).view(np.int8) * 2 + ~self.collector_coop
         at = [int(np.argmax(state == s)) for s in range(4)] if len(self) else []
-        formed = table([f"{a},{p},{c}" for a, p, c in
-                        zip("CDCD", table(self.u_p[at]), table(self.u_c[at]))])
         return csv_text(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
             [np.arange(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
              table("bg", self.provider_obs_g), table("DC", self.provider_coop),
-             table("bg", self.collector_obs_g), formed.take(state)],
+             table("bg", self.collector_obs_g), table("DC", self.collector_coop),
+             table(self.u_p[at], state), table(self.u_c[at], state)],
         )
 
 

@@ -5,14 +5,22 @@ opponent rather than for sampled ones."""
 import numpy as np
 import sympy as sp
 
-from zdtrade import GameParams, build_payoffs, solve_pinning, zd_columns
+from zdtrade import (ExtortionParams, GameParams, build_extortion_strategy,
+                     build_payoffs, solve_pinning, zd_columns)
 
 from conftest import reference_matrix
 
 R = sp.Rational
 E1, E2 = R(3, 10), R(1, 2)
-C_C, C_C1, C_C2 = 5, 2, 3          # the collector's side of 5/5/2/2/3/3
+C_P, C_P1, C_P2 = 5, 2, 3          # the provider's side of 5/5/2/2/3/3
+C_C, C_C1, C_C2 = 5, 2, 3          # the collector's side
 Q1, Q2 = sp.symbols("q1 q2")
+
+
+def exact_u_p():
+    """u_p of the test game, written out from `payoff_arrays`' formulas."""
+    return [C_P, C_P - C_P1 + (1 - E2) * C_P2, (1 - E1) * C_P,
+            (1 - E1) * C_P - (1 - E1) * C_P1 + (1 - E2) * C_P2]
 
 
 def exact_u_c():
@@ -70,3 +78,25 @@ def test_pinning_and_determinant_identity_hold_for_every_collector():
                        (q_hat, cols.q_hat)):
         np.testing.assert_allclose(got, [float(x.subs(at)) for x in exact],
                                    rtol=0, atol=1e-15)
+
+
+def test_extortion_relation_holds_for_every_collector():
+    # the extort-verify inputs: l1 = 1, l2 = 2, chi = 3/2, phi = 1/6
+    l1, l2, chi, phi = 1, 2, R(3, 2), R(1, 6)
+    u_p, u_c = exact_u_p(), exact_u_c()
+    x = [(up - l1) - chi * (uc - l2) for up, uc in zip(u_p, u_c)]
+    p1 = phi * x[0] + 1                     # build_extortion_strategy's rows
+    p2 = (phi * x[1] + 1 - E2 * p1) / (1 - E2)
+    p3 = phi * x[2]
+    p4 = (phi * x[3] - E2 * p3) / (1 - E2)
+    assert (p1, p2, p3, p4) == (R(11, 12), R(1, 2), R(1, 24), R(1, 8))
+
+    v, _ = cofactor_stationary((p1, p2, p3, p4))
+    dot = lambda u: sum(vi * ui for vi, ui in zip(v, u))  # noqa: E731
+    assert sp.expand((dot(u_p) - l1 * sum(v))
+                     - chi * (dot(u_c) - l2 * sum(v))) == 0
+
+    sol = build_extortion_strategy(GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5),
+                                   ExtortionParams(1.0, 2.0, 1.5, 1 / 6))
+    np.testing.assert_allclose(sol.p, [float(p1), float(p2), float(p3),
+                                       float(p4)], rtol=0, atol=1e-15)

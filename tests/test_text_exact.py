@@ -1,0 +1,118 @@
+"""The array renderer of CSV cells against Python's own `%.12g` and `%d`,
+value by value, and its refusals of malformed column sets."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zdtrade._text as text_mod
+from zdtrade import GameParams, scan_pinning_region
+from zdtrade._text import csv_text
+
+INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
+def cells(values) -> list:
+    """The rendered cells of one CSV column."""
+    return csv_text(["x"], [values]).split("\n")[1:-1]
+
+
+def assert_floats_exact(values):
+    values = np.asarray(values)
+    expected = ["%.12g" % v for v in values.tolist()]
+    got = cells(values)
+    wrong = [(v, e, g) for v, e, g in zip(values.tolist(), expected, got)
+             if e != g]
+    assert not wrong and len(got) == len(expected), wrong[:5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=64))
+def test_every_float64_bit_pattern_prints_as_percent_g(bits):
+    assert_floats_exact(np.array(bits, dtype=np.int64).view(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=64))
+def test_integers_print_as_percent_d(values):
+    values = np.array(values, dtype=np.int64)
+    assert cells(values) == ["%d" % v for v in values.tolist()]
+
+
+def test_unsigned_and_wide_integers_print_as_percent_d():
+    for values in (np.array([0, 9, 10, 99999, 10**5, 10**13 - 1, 10**13,
+                             2**64 - 1], dtype=np.uint64),
+                   np.array([-2**63, -10**13, -10**13 + 1, -99999, -1, 0,
+                             2**63 - 1], dtype=np.int64)):
+        assert cells(values) == ["%d" % v for v in values.tolist()]
+
+
+def test_neighbours_of_powers_of_ten():
+    values = []
+    for e in range(-5, 14):
+        up = down = 10.0 ** e
+        values.append(up)
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            values += [up, down]
+    assert_floats_exact(np.array(values))
+
+
+def test_exact_ties_and_carries():
+    rng = np.random.default_rng(5)
+    # odd multiples of 2^-12 in [1, 10): 13 significant digits ending in 5,
+    # so the scaled product is exactly a half-integer
+    dyadic = (2 * rng.integers(2**11, 5 * 2**12, 200) + 1) / 2.0**12
+    values = np.concatenate([
+        [123456789012.5, 1234567890125.0, 999999999999.5, 99999999999.5,
+         0.5, 2.5, 1.000244140625, 9.999999999995, 0.99999999999951,
+         99999.9999999951, 0.000999999999999951, 9999999999999.0],
+        dyadic, dyadic * 2.0**-8, dyadic * 2.0**20])
+    assert_floats_exact(np.concatenate([values, -values]))
+
+
+def test_subnormals_zeros_infinities_and_nans():
+    negative_nan = np.array([0xFFF8000000000001], np.uint64).view(np.float64)
+    values = np.concatenate([
+        [5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf,
+         -np.inf, np.nan, 1e-4, 9.9999999999995e-5, 1e12, 1e300],
+        negative_nan])
+    assert np.signbit(negative_nan[0]) and np.isnan(negative_nan[0])
+    assert_floats_exact(values)
+
+
+def test_float32_columns_print_their_float64_value():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.integers(0, 2**32, 2000, dtype=np.uint64).astype(np.uint32)
+        .view(np.float32),
+        np.array([0.1, -3.4028235e38, 1e-45, 1.5, 16777217.0], np.float32)])
+    assert cells(values) == ["%.12g" % float(v) for v in values]
+
+
+def test_array_path_renders_nearly_every_pinning_cell():
+    params = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
+    grid = scan_pinning_region(params, resolution=101)
+    floats = [grid.p2.ravel(), grid.p3.ravel(), grid.pinned_s_c.ravel()]
+    fallback = sum(len(text_mod._float_cells(c, False)[1]) for c in floats)
+    assert fallback <= 1e-3 * sum(c.size for c in floats)
+
+
+def test_header_and_column_counts_must_match():
+    with pytest.raises(ValueError, match="1 header names but 2 columns"):
+        csv_text(["a"], [np.array([1.0]), np.array([2.0])])
+
+
+def test_columns_must_have_equal_lengths():
+    with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
+        csv_text(["a", "b"], [np.array([1.0]), np.array([2.0, 3.0])])
+
+
+def test_columns_must_be_one_dimensional():
+    with pytest.raises(ValueError, match=r"1-D, got shape \(2, 2\)"):
+        csv_text(["a"], [np.zeros((2, 2))])
+
+
+def test_table_codes_must_index_the_names():
+    with pytest.raises(ValueError, match=r"codes must lie in \[0, 2\)"):
+        text_mod.table("DC", np.array([0, 2]))
