@@ -1,5 +1,9 @@
 """Deterministic text formatting for CSV/JSON artifacts.
 
+`plain` is the one rule that turns a result into JSON data: dataclasses
+become dicts of their fields, arrays and tuples lists, numpy scalars Python
+numbers, and with `strict` every NaN or infinity becomes None.
+
 A CSV value prints by the rule of its numpy dtype kind: floats as `%.12g`
 (nan, inf, -inf, -0), integers as `%d`, booleans as false/true, strings as
 they are.  Nothing depends on the locale, so reruns are byte-identical.
@@ -27,6 +31,8 @@ integers of 14 or more digits and cells of other kinds.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from functools import cache
 from typing import Callable
 
@@ -43,6 +49,26 @@ _MAX_M = np.where(np.arange(16) == 0, 1e12 - 1, 1e12)   # no carry at X = 11
 
 def fmt_float(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def plain(obj, strict: bool = False):
+    """`obj` as JSON data: a dataclass as a dict of its fields in field
+    order, an array, list or tuple as a list, a numpy scalar as a Python
+    number; with `strict`, every non-finite float as None."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name), strict)
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: plain(v, strict) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [plain(v, strict) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if strict and isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _digits(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
-from ._text import csv_text, fmt_float, table
+from ._text import csv_text, fmt_float, plain, table
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (BaselineDegenerateError, ConfigError,
                      DegenerateParameterError, InvalidParameterError,
@@ -144,19 +143,6 @@ def _grid(section: dict, key: str) -> np.ndarray:
     check_count(f"{key}.num", spec["num"], 2, MAX_GRID_NUM)
     return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]),
                        spec["num"])
-
-
-def _strict(obj):
-    """`obj` as plain JSON data, with every non-finite float as None."""
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_strict(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def _write(path: str, text: str) -> None:
@@ -409,7 +395,8 @@ def main(argv=None) -> int:
         summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
         output = cfg.get("output", {})
         if (args.format or output.get("format") or "csv") == "json":
-            text = json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
+            text = json.dumps(plain(payload, strict=True), indent=2,
+                              allow_nan=False) + "\n"
         elif callable(csv):
             text = csv()
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._text import plain
 from .extortion import baseline_gap
 from .payoffs import (GameParams, StateIndex, build_payoffs, check_finite,
                       validate_ordering)
@@ -47,14 +48,7 @@ class InfeasibilityCertificate:
     baselines: tuple[float, float] | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "conflicting_states": list(self.conflicting_states),
-            "lhs": self.lhs, "rhs": self.rhs, "gap": self.gap,
-            "holds": self.holds,
-            "ordering_violations": list(self.ordering_violations),
-            "baselines": list(self.baselines) if self.baselines else None,
-        }
+        return plain(self)
 
 
 def check_collector_pinning(params: GameParams) -> InfeasibilityCertificate:

@@ -22,16 +22,17 @@ brute-force strategy construction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._text import csv_text, grid_axes
+from ._text import csv_text, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, irreducible_payoffs
 from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_count,
-                      check_e2_below_one, check_finite, payoff_arrays)
+                      check_e2_below_one, check_finite, check_seed,
+                      payoff_arrays)
 
 DENOM_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -243,12 +244,7 @@ class ExtortionSolution:
         return ProviderStrategy(*(min(1.0, max(0.0, x)) for x in self.p))
 
     def as_dict(self) -> dict:
-        return {
-            "p": list(self.p), "feasible": self.feasible,
-            "chi": self.chi, "phi": self.phi,
-            "chi_lower": self.chi_lower, "chi_upper": self.chi_upper,
-            "phi_range": list(self.phi_range) if self.phi_range else None,
-        }
+        return plain(self)
 
 
 def build_extortion_strategy(params: GameParams,
@@ -299,7 +295,7 @@ class VerificationReport:
     discarded: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
@@ -314,8 +310,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
     check_count("trials", trials, 1, MAX_TRIALS)
-    if isinstance(rng, (int, np.integer)) and rng < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {rng!r}")
+    check_seed(rng)
     rng = np.random.default_rng(rng)
     strategy = sol.strategy
     max_residual = 0.0
@@ -330,8 +325,9 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
         remaining -= s_p.size
         if discarded > 100 * trials:
             raise InvalidParameterError(
-                "too many reducible draws; the strategy pins the chain"
-            )
+                f"too many reducible draws ({discarded} discarded for "
+                f"{trials} trials, limit 100 x trials = {100 * trials}); "
+                f"the strategy pins the chain")
     return VerificationReport(trials, max_residual, discarded)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import csv_text, table
+from ._text import csv_text, plain, table
 from .errors import InvalidParameterError, NonUniqueStationaryError
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       check_unit_interval)
@@ -231,8 +231,7 @@ class StationaryResult:
     s_c: float
 
     def as_dict(self) -> dict:
-        return {"v": [float(x) for x in self.v],
-                "s_p": self.s_p, "s_c": self.s_c}
+        return plain(self)
 
 
 def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
@@ -335,4 +334,4 @@ def matrix_to_csv(m) -> str:
 
 def matrix_to_json(m) -> list:
     """Row-major nested lists, ready for json.dumps."""
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return plain(np.asarray(m, dtype=float))

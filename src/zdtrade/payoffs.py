@@ -16,11 +16,12 @@ mask).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
+from ._text import plain
 from .errors import DegenerateParameterError, InvalidParameterError
 
 
@@ -51,6 +52,13 @@ def check_count(name, value, low, high) -> None:
     """Raise InvalidParameterError unless low <= value <= high."""
     if not low <= value <= high:
         raise InvalidParameterError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidParameterError for a negative integer seed (a Generator
+    or None passes)."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed!r}")
 
 
 def check_e2_below_one(e2) -> None:
@@ -118,7 +126,7 @@ class GameParams:
         return cls(**{k: float(mapping[k]) for k in _PARAM_FIELDS})
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return plain(self)
 
     def replace_noise(self, e1=None, e2=None) -> "GameParams":
         """Copy with one or both noise levels replaced."""
@@ -143,11 +151,9 @@ class PayoffVectors:
     u_c: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "states": list(STATE_NAMES),
-            "u_p": [float(x) for x in self.u_p],
-            "u_c": [float(x) for x in self.u_c],
-        }
+        # not plain(self): the record names the states and leaves out params
+        return {"states": list(STATE_NAMES),
+                "u_p": plain(self.u_p), "u_c": plain(self.u_c)}
 
 
 def payoff_arrays(params: GameParams, e1, e2):
@@ -207,7 +213,7 @@ class OrderingReport:
                 and self.u_c_cd_cc_dc and self.u_c_cd_dd_dc)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def validate_ordering(payoffs: PayoffVectors) -> OrderingReport:

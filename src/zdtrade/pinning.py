@@ -113,6 +113,7 @@ class PinningSolution:
         return ProviderStrategy(self.p1, self.p2, self.p3, self.p4)
 
     def as_dict(self) -> dict:
+        # not plain(self): the record orders the entries p1, p2, p3, p4
         return {
             "p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4,
             "a_const": self.a_const, "b_const": self.b_const,

@@ -26,11 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ._text import csv_text, table
-from .errors import InvalidParameterError
+from ._text import csv_text, plain, table
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
-                      check_count)
+                      check_count, check_seed)
 
 # Batches used for the batch-means standard errors (round averages of a
 # Markov chain are autocorrelated, so naive i.i.d. errors would lie).
@@ -62,8 +61,7 @@ class SimConfig:
     def __post_init__(self):
         check_count("rounds", self.rounds, 1, MAX_ROUNDS)
         check_count("burn_in", self.burn_in, 0, self.rounds - 1)
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -134,13 +132,7 @@ class SimResult:
     rounds_used: int
 
     def as_dict(self) -> dict:
-        return {
-            "state_frequencies": [float(x) for x in self.state_frequencies],
-            "s_p": self.s_p, "s_c": self.s_c,
-            "se_s_p": self.se_s_p, "se_s_c": self.se_s_c,
-            "se_frequencies": [float(x) for x in self.se_frequencies],
-            "rounds_used": self.rounds_used,
-        }
+        return plain(self)
 
 
 def _batch_se(x: np.ndarray) -> float:
@@ -271,11 +263,7 @@ class ComparisonReport:
     flagged: bool              # any |z| > 4
 
     def as_dict(self) -> dict:
-        return {
-            "z_frequencies": [float(x) for x in self.z_frequencies],
-            "z_s_p": self.z_s_p, "z_s_c": self.z_s_c,
-            "max_abs_z": self.max_abs_z, "flagged": self.flagged,
-        }
+        return plain(self)
 
 
 def _z(diff: float, se: float) -> float:

@@ -437,3 +437,29 @@ def test_schema_rejects_wrong_type_in_any_section(tmp_path, capsys, section,
     assert main(["payoffs", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config error: cannot read config "),
+    ("[]", "config error: config root must be a JSON object"),
+    ('{"bogus": {}}', "config error: unknown config sections: ['bogus']"),
+    ('{"pinning": 3}', "config error: section 'pinning' must be a JSON object"),
+], ids=["missing-file", "list-root", "unknown-section", "number-section"])
+def test_config_shape_errors_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["payoffs", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_simulate_reducible_chain_skips_comparison(tmp_path, capsys):
+    # CC and DC both absorb: two closed classes, no unique stationary vector
+    cfg = write_config(tmp_path, simulation={"rounds": 500, "p": [1, 1, 0, 0],
+                                             "q": [1, 1]})
+    out_file = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--format", "json",
+                 "--out", str(out_file)]) == 0
+    assert json.loads(out_file.read_text())["comparison"] is None
+    summary = capsys.readouterr().out.strip()
+    assert summary.endswith("analytic comparison skipped (reducible chain).")

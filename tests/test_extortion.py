@@ -15,7 +15,7 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      reducible_mask, scan_extortion_region,
                      verify_extortion_relation)
 from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, ExtortionGrid,
-                               VerificationReport)
+                               ExtortionSolution, VerificationReport)
 
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
@@ -197,6 +197,20 @@ def test_verify_refuses_infeasible(base_params):
     good = build_extortion_strategy(base_params, ext)
     with pytest.raises(InvalidParameterError, match="seed"):
         verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
+
+
+def test_verification_refuses_a_strategy_that_pins_the_chain(base_params):
+    # p = (1, 1, 0, 0) keeps the provider's action: {CC, CD} and {DC, DD}
+    # never meet, whatever the collector plays, so every draw is reducible
+    sol = ExtortionSolution(p=(1.0, 1.0, 0.0, 0.0), feasible=True, chi=1.5,
+                            phi=0.1, chi_lower=1.0, chi_upper=2.0,
+                            phi_range=None)
+    with pytest.raises(InvalidParameterError,
+                       match=r"too many reducible draws \(1010 discarded for "
+                             r"10 trials, limit 100 x trials = 1000\)"):
+        verify_extortion_relation(sol, base_params,
+                                  ExtortionParams(l1=1, l2=2, chi=1.5),
+                                  trials=10, rng=0)
 
 
 @pytest.mark.parametrize("trials", [10**30, MAX_TRIALS + 1])

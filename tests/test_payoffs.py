@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from zdtrade import (DegenerateParameterError, ExtortionParams, GameParams,
                      build_extortion_strategy, build_payoffs,
                      chi_feasible_interval, pinning_sensitivity_noise,
                      scan_pinning_region, solve_pinning, validate_ordering)
+from zdtrade.payoffs import check_seed
 
 
 def test_baseline_table_values(base_params):
@@ -153,3 +156,10 @@ def test_e2_one_raises_one_message_everywhere(base_params):
     assert messages == [
         "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
     ] * len(calls)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+def test_check_seed_refuses_negative(seed):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"seed must be >= 0, got {seed!r}")):
+        check_seed(seed)

@@ -9,6 +9,7 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      SimResult, StateIndex, Trace, build_payoffs,
                      build_transition_matrix, compare_to_analytic,
                      expected_payoffs, play_rounds, simulate, solve_pinning)
+from zdtrade._text import plain
 from zdtrade.simulate import MAX_ROUNDS, _batch_se
 
 
@@ -393,3 +394,19 @@ def test_rounds_above_ceiling_refused_before_allocating(base_params, rounds):
         tracemalloc.stop()
     assert peak < 1_000_000
     SimConfig(params=base_params, p=p, q=q, rounds=MAX_ROUNDS, seed=1)
+
+
+def test_zero_standard_errors_give_infinite_z(base_params):
+    p, q = ProviderStrategy(0.6, 0.5, 0.4, 0.3), CollectorStrategy(0.5, 0.5)
+    analytic = expected_payoffs(p, q, base_params)
+    result = SimResult(state_frequencies=np.array([1.0, 0.0, 0.0, 0.0]),
+                       s_p=analytic.s_p + 1, s_c=analytic.s_c - 1,
+                       se_s_p=0.0, se_s_c=0.0, se_frequencies=np.zeros(4),
+                       rounds_used=100)
+    report = compare_to_analytic(result, p, q, base_params)
+    assert report.z_frequencies.tolist() == [np.inf, -np.inf, -np.inf, -np.inf]
+    assert (report.z_s_p, report.z_s_c) == (np.inf, -np.inf)
+    assert report.max_abs_z == np.inf and report.flagged
+    strict = plain(report, strict=True)
+    assert strict["z_frequencies"] == [None] * 4
+    assert strict["z_s_p"] is None and strict["max_abs_z"] is None
