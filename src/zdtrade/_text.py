@@ -10,14 +10,16 @@ they are.  Nothing depends on the locale, so reruns are byte-identical.
 
 `csv_text` renders BLOCK_ROWS rows at a time into one uint32 buffer, held
 transposed so that each word column is written by one contiguous `take`.
-Every cell is a whole number of 4-byte words: its `,` (a pad byte in the
-first column), then its text, padded with the byte 0xFF, which UTF-8 never
-produces; `bytes.translate` deletes the padding from the block.  Digits
-come from 10^4-entry word tables (10^3 for the units word, whose fourth
-byte holds the decimal point) in which leading zeros, trailing zeros and
-the sign are already written as padding or `-`, so a cell costs a few
-table lookups, not per-byte work.  Booleans and `table` and `grid_axes`
-columns are coded: each distinct cell is rendered once and taken by code.
+Every cell is a whole number of 4-byte words padded with the byte 0xFF,
+which UTF-8 never produces; `bytes.translate` deletes the padding from the
+block.  Digits come from 10^4-entry word tables (10^3 for the units word)
+that hold digits and padding only, leading and trailing zeros already
+padded, so a cell costs a few table lookups, not per-byte work.  Every
+other byte is a mark XORed into a pad byte that the tables leave free: the
+row's line break or the `,` into byte 0 of every cell, the `-` into byte 1
+of a number's first word and the `.` into byte 3 of its units word.
+Booleans and `table` and `grid_axes` columns are coded: each distinct cell
+is rendered once and taken by code.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -41,7 +43,6 @@ import numpy as np
 BLOCK_ROWS = 16384  # rows rendered into one buffer
 _PAD = 0xFF
 _PAD_WORD = np.uint32(0xFFFFFFFF)
-_SEP = (np.uint8(_PAD), np.uint8(ord(",")))
 _INT_LIMIT = 10 ** 13     # integers print through the digit tables below this
 _POW10 = 10.0 ** np.arange(17)              # exact powers of ten, as floats
 _MAX_M = np.where(np.arange(16) == 0, 1e12 - 1, 1e12)   # no carry at X = 11
@@ -77,14 +78,6 @@ def _digits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return v, (v // 10 ** np.arange(n - 1, -1, -1) % 10 + 48).astype(np.uint8)
 
 
-def _signed(cells: np.ndarray) -> np.ndarray:
-    """Leading-padded cells with '-' in their last leading pad byte."""
-    out = cells.copy()
-    pads = (cells == _PAD).sum(axis=1)
-    out[np.arange(len(out)), np.maximum(pads - 1, 0)] = ord("-")
-    return out
-
-
 def _words(*cells: np.ndarray) -> np.ndarray:
     """Stacked (n, 4) uint8 cell tables as one flat, read-only uint32 word
     table."""
@@ -93,63 +86,58 @@ def _words(*cells: np.ndarray) -> np.ndarray:
     return words
 
 
+def _mark(char: str, byte: int) -> np.uint32:
+    """The word that, XORed in, turns pad byte `byte` of a word into `char`."""
+    word = np.zeros(4, np.uint8)
+    word[byte] = _PAD ^ ord(char)
+    return word.view(np.uint32)[0]
+
+
+_BREAK, _COMMA, _SIGN, _POINT = (_mark("\n", 0), _mark(",", 0),
+                                 _mark("-", 1), _mark(".", 3))
+
+
 @cache
 def _tables() -> dict:
     """Word tables of 4-byte cells, built on first use (a run that writes
-    no CSV never builds them).  A table stacks the variants of one word
-    place, indexed by digits + 10^4 (10^3 for units words) * variant:
+    no CSV never builds them).  They hold digits and pad bytes only; a
+    table stacks the variants of one word place, indexed by digits + 10^4
+    (10^3 for units words) * variant:
 
     mid    a 4-digit word of an integer part: [leading zeros padded,
            all digits]
-    first  the leading word of an integer part of two or more words:
-           [unsigned, '-' before the first digit]
-    last   the units word of such a part, three digits and the point byte:
-           [leading zeros padded, all digits] x [no point, point]
-    one    the units word of a one-digit integer part:
-           [unsigned, signed] x [no point, point]
-    frac   a 4-digit fraction word: [all digits, trailing zeros padded]
-
-    first and one are pairs: [pad, `,`] in byte 0."""
+    first  the leading word of an integer part of two or more words, below
+           100, so that bytes 0 and 1 (the `,` and the sign) stay free
+    last   the units word, three digits and a free byte 3 (the point):
+           [leading zeros padded, all digits]; a one-digit integer part is
+           its padded variant alone
+    frac   a 4-digit fraction word: [all digits, trailing zeros padded]"""
     v4, d4 = _digits(4)
     col = np.arange(4)
     lead = np.where(v4 < 10 ** (3 - col), _PAD, d4).astype(np.uint8)
     trail = np.where(v4 % 10 ** (4 - col) == 0, _PAD, d4).astype(np.uint8)
     v3, d3 = _digits(3)
     lead0 = np.where((v3 < 10 ** (2 - col[:3])) & (col[:3] < 2), _PAD, d3)
-    lead0 = lead0.astype(np.uint8)                  # 0 prints as "0"
-
-    def units(*cells):
-        return [np.hstack([c, np.full((1000, 1), byte, np.uint8)])
-                for byte in (_PAD, ord(".")) for c in cells]
-
-    first = [lead, _signed(lead)]
-    one = units(lead0, _signed(lead0))
-    tables = {"mid": _words(lead, d4), "frac": _words(d4, trail),
-              "last": _words(*units(lead0, d3))}
-    for name, cells in (("first", first), ("one", one)):
-        tables[name] = [_words(*cells)]
-        comma = [c.copy() for c in cells]
-        for c in comma:
-            c[:, 0] = ord(",")
-        tables[name].append(_words(*comma))
-    return tables
+    units = [np.hstack([c, np.full((1000, 1), _PAD)]).astype(np.uint8)
+             for c in (lead0, d3)]                  # lead0: 0 prints as "0"
+    return {"mid": _words(lead, d4), "first": _words(lead),
+            "last": _words(*units), "frac": _words(d4, trail)}
 
 
-def _int_lookups(i, sign, point, comma: bool) -> list:
-    """(table, index) word lookups of the integer part `i` >= 0 with its
-    sign and point flags, in as few words as leave the first two bytes of
-    the first word free for the `,` and the sign."""
+def _int_lookups(i) -> list:
+    """(table, index) word lookups of the integer part `i` >= 0, in as few
+    words as leave the first two bytes of the first word free for the `,`
+    and the sign; the last lookup is the units word."""
     tables = _tables()
     wide = int((i.max(initial=0) >= 10 ** np.array([1, 5, 9])).sum())
-    if wide == 0:
-        return [(tables["one"][comma], i + 1000 * (sign + 2 * point))]
     rest = i // 1000
-    out = [(tables["last"], i - rest * 1000 + 1000 * ((rest > 0) + 2 * point))]
+    out = [(tables["last"], i - rest * 1000 + 1000 * (rest > 0))]
     for _ in range(wide - 1):
         high = rest // 10000
         out.append((tables["mid"], rest - high * 10000 + 10000 * (high > 0)))
         rest = high
-    out.append((tables["first"][comma], rest + 10000 * sign))
+    if wide:
+        out.append((tables["first"], rest))
     return out[::-1]
 
 
@@ -166,8 +154,9 @@ def _frac_lookups(g, n: int) -> list:
     return out[::-1]
 
 
-def _float_cells(x: np.ndarray, comma: bool):
-    """(word lookups, fallback rows, fallback texts) of a float block."""
+def _float_cells(x: np.ndarray):
+    """(word lookups, fallback rows, fallback texts, marks) of a float
+    block."""
     with np.errstate(divide="ignore", invalid="ignore"):
         x = x.astype(np.float64, copy=False)    # a float32 NaN may signal
         a = np.abs(x)
@@ -188,20 +177,22 @@ def _float_cells(x: np.ndarray, comma: bool):
     point = f > 0
     n = -(-int(np.max(k, where=point, initial=0)) // 4)
     g = (f * _POW10.take(np.maximum(4 * n - k, 0))).astype(np.int64)
-    lookups = (_int_lookups(i.astype(np.int64), np.signbit(x), point, comma)
-               + _frac_lookups(g, n))
-    return lookups, bad, ["%.12g" % v for v in x[bad].tolist()]
+    ints = _int_lookups(i.astype(np.int64))
+    return (ints + _frac_lookups(g, n), bad,
+            ["%.12g" % v for v in x[bad].tolist()],
+            [(0, _SIGN, np.signbit(x)), (len(ints) - 1, _POINT, point)])
 
 
-def _integer_cells(v: np.ndarray, comma: bool):
-    """(word lookups, fallback rows, fallback texts) of an integer block."""
+def _integer_cells(v: np.ndarray):
+    """(word lookups, fallback rows, fallback texts, marks) of an integer
+    block."""
     ok = v < _INT_LIMIT
     if v.dtype.kind == "i":
         ok &= v > -_INT_LIMIT
     i = np.abs(np.where(ok, v, 0).astype(np.int64))
     bad = np.flatnonzero(~ok)
-    return (_int_lookups(i, v < 0, False, comma), bad,
-            [str(int(t)) for t in v[bad].tolist()])
+    return (_int_lookups(i), bad, [str(int(t)) for t in v[bad].tolist()],
+            [(0, _SIGN, v < 0)])
 
 
 def _text_cells(texts) -> np.ndarray:
@@ -212,11 +203,10 @@ def _text_cells(texts) -> np.ndarray:
                          np.uint8).reshape(len(raw), width)
 
 
-def _cell_words(cells: np.ndarray, comma: bool) -> np.ndarray:
-    """(n, words) uint32 of padded uint8 cells behind a `,` or a pad byte."""
+def _cell_words(cells: np.ndarray) -> np.ndarray:
+    """(n, words) uint32 of padded uint8 cells behind a pad byte."""
     n, width = cells.shape
     out = np.full((n, -(-(width + 1) // 4) * 4), _PAD, np.uint8)
-    out[:, 0] = _SEP[comma]
     out[:, 1:width + 1] = cells
     return out.view(np.uint32)
 
@@ -235,7 +225,6 @@ class Coded:
 
 
 _BOOL = _text_cells(["false", "true"])
-_NEWLINE = _cell_words(_text_cells(["\n"]), False)[0, 0]
 
 
 def _cells(names) -> np.ndarray:
@@ -282,45 +271,52 @@ def _column(col) -> Coded | np.ndarray:
     return col
 
 
-def _lookups(col, start: int, stop: int, comma: bool):
-    """(word lookups, fallback rows, fallback texts) of rows start:stop."""
+def _lookups(col, start: int, stop: int):
+    """(word lookups, fallback rows, fallback texts, marks) of rows
+    start:stop."""
     if isinstance(col, Coded):
         codes = col.codes(start, stop)
-        return [(w, codes) for w in _cell_words(col.cells, comma).T], (), []
+        return [(w, codes) for w in _cell_words(col.cells).T], (), [], []
     values = col[start:stop]
     if values.dtype.kind == "f":
-        return _float_cells(values, comma)
+        return _float_cells(values)
     if values.dtype.kind in "iu":
-        return _integer_cells(values, comma)
-    return [], np.arange(len(values)), [str(v) for v in values.tolist()]
+        return _integer_cells(values)
+    return [], np.arange(len(values)), [str(v) for v in values.tolist()], []
 
 
-def _fill(parts, rows: int, extra: int) -> np.ndarray:
-    """(words + extra, rows) uint32 buffer, transposed, holding the cells
-    of `parts`: one (lookups, fallback rows, fallback texts) per column."""
+def _fill(parts, rows: int) -> np.ndarray:
+    """(words, rows) uint32 buffer, transposed, holding the cells of
+    `parts`, one (lookups, fallback rows, fallback texts, marks) per
+    column.  A mark (word, XOR word, row mask) goes into the looked-up
+    words before fallback cells overwrite theirs whole; then byte 0 of
+    every cell becomes the row's line break or the `,`."""
     cells = []
-    for j, (lookups, bad, texts) in enumerate(parts):
-        fallback = _cell_words(_text_cells(texts), j > 0)
+    for lookups, bad, texts, marks in parts:
+        fallback = _cell_words(_text_cells(texts))
         cells.append((max(len(lookups), fallback.shape[1]), lookups, bad,
-                      fallback))
-    buf = np.empty((sum(c[0] for c in cells) + extra, rows), np.uint32)
+                      fallback, marks))
+    buf = np.empty((sum(c[0] for c in cells), rows), np.uint32)
     at = 0
-    for width, lookups, bad, fallback in cells:
-        for j, (words, index) in enumerate(lookups):
-            words.take(index, out=buf[at + j], mode="wrap")
+    for j, (width, lookups, bad, fallback, marks) in enumerate(cells):
+        for k, (words, index) in enumerate(lookups):
+            words.take(index, out=buf[at + k], mode="wrap")
         buf[at + len(lookups):at + width] = _PAD_WORD
+        for k, mark, where in marks:
+            np.bitwise_xor(buf[at + k], mark, out=buf[at + k], where=where)
         if len(bad):
             buf[at:at + width, bad] = _PAD_WORD
             buf[at:at + fallback.shape[1], bad] = fallback.T
+        buf[at] ^= _COMMA if j else _BREAK
         at += width
     return buf
 
 
 def _texts(values: np.ndarray) -> list:
-    """The CSV text of each value of a 1-D array."""
-    buf = _fill([_lookups(_column(values), 0, len(values), False)],
-                len(values), 0)
-    return [row.tobytes().translate(None, b"\xff").decode() for row in buf.T]
+    """The CSV text of each value of a 1-D array (after the line break)."""
+    buf = _fill([_lookups(_column(values), 0, len(values))], len(values))
+    return [row.tobytes().translate(None, b"\xff").decode()[1:]
+            for row in buf.T]
 
 
 def csv_text(header, columns) -> str:
@@ -334,14 +330,11 @@ def csv_text(header, columns) -> str:
     if len(sizes) > 1:
         raise ValueError(f"CSV columns have unequal lengths {sizes}")
     rows = sizes[0] if sizes else 0
-    parts = [",".join(header) + "\n"]
+    parts = [",".join(header)]      # each row starts with its line break
     for start in range(0, rows, BLOCK_ROWS):
-        parts.append(_render_block(cols, start, min(start + BLOCK_ROWS, rows)))
+        stop = min(start + BLOCK_ROWS, rows)
+        buf = _fill([_lookups(c, start, stop) for c in cols], stop - start)
+        parts.append(buf.T.tobytes().translate(None, b"\xff").decode())
+        del buf  # lets the next block reuse it: ~34 MB less RSS at 1001^2
+    parts.append("\n")
     return "".join(parts)
-
-
-def _render_block(cols, start: int, stop: int) -> str:
-    buf = _fill([_lookups(c, start, stop, i > 0) for i, c in enumerate(cols)],
-                stop - start, 1)
-    buf[-1] = _NEWLINE
-    return buf.T.tobytes().translate(None, b"\xff").decode()

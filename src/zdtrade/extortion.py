@@ -29,13 +29,10 @@ import numpy as np
 
 from ._text import csv_text, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
-from .markov import ProviderStrategy, irreducible_payoffs
-from .payoffs import (GameParams, STATE_NAMES, build_payoffs, check_count,
-                      check_e2_below_one, check_finite, check_seed,
-                      payoff_arrays)
-
-DENOM_TOL = 1e-12
-FEAS_TOL = 1e-9
+from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
+from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
+                      build_payoffs, check_count, check_e2_below_one,
+                      check_finite, check_seed, payoff_arrays)
 
 REASON_DEGENERATE_DENOM = "baseline_equals_payoff_entry"
 REASON_NO_CHI = "no_chi_above_1"
@@ -44,6 +41,9 @@ REASON_NO_CHI = "no_chi_above_1"
 # at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
 VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
+# The reducibility test's cofactor sum is affine in the opponent q, so a
+# strategy whose chain is reducible at these four corners is at every q.
+_CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 # A scan and its CSV peak at ~250 bytes per (e1, e2) cell (tracemalloc, 200^2
 # to 800^2 cells): MAX_GRID_NUM points per axis keep one scan under ~1.9 GB.
@@ -125,7 +125,7 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
 
     phi > 0 uses states (CC, DD) as (lower, upper); phi < 0 uses (DC, CD).
     Raises BaselineDegenerateError when a needed denominator u_c(state) - l2
-    is within 1e-12 of zero.
+    is within DENOM_TOL of zero.
     """
     check_finite(l1=l1, l2=l2)
     pv = build_payoffs(params)
@@ -258,9 +258,9 @@ def build_extortion_strategy(params: GameParams,
 
     with X_s = (u_p(s) - l1) - chi (u_c(s) - l2).  Entries are reported
     raw; the solution is feasible when all four lie in [0, 1] within
-    1e-9.  When ext.phi is None the midpoint of the admissible phi range
-    is used (falling back to phi_sign * 1.0 if that range is empty, so
-    the caller still sees the infeasible row values).
+    BOUNDARY_TOL.  When ext.phi is None the midpoint of the admissible phi
+    range is used (falling back to phi_sign * 1.0 if that range is empty,
+    so the caller still sees the infeasible row values).
     """
     phi = ext.phi
     phi_range = phi_feasible_interval(params, ext.l1, ext.l2, ext.chi,
@@ -278,7 +278,7 @@ def build_extortion_strategy(params: GameParams,
     p3 = phi * x[2]
     p4 = (phi * x[3] - e2 * p3) / (1 - e2)
     p = (float(p1), float(p2), float(p3), float(p4))
-    feasible = all(-FEAS_TOL <= v <= 1 + FEAS_TOL for v in p)
+    feasible = all(-BOUNDARY_TOL <= v <= 1 + BOUNDARY_TOL for v in p)
     lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, ext.l1, ext.l2, ext.phi_sign)
     return ExtortionSolution(
         p=p, feasible=feasible, chi=ext.chi, phi=float(phi),
@@ -305,7 +305,10 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
 
     Draws producing a reducible chain are discarded and redrawn (passes of
     at most VERIFY_PASS; the first `trials` non-reducible draws count).
-    The caller controls reproducibility by passing a seed or Generator.
+    Refused when more than 100 x trials draws are discarded, or at once
+    when a pass keeps no draw and the chain is reducible at every corner
+    opponent, hence at every opponent.  The caller controls
+    reproducibility by passing a seed or Generator.
     """
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
@@ -316,6 +319,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     max_residual = 0.0
     discarded = 0
     remaining = trials
+    corners_checked = False
     while remaining > 0:
         qs = rng.random((min(remaining, VERIFY_PASS), 2))
         bad, s_p, s_c = irreducible_payoffs(strategy, qs, params)
@@ -323,6 +327,12 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
         residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
         max_residual = float(np.max(residual, initial=max_residual))
         remaining -= s_p.size
+        if not s_p.size and not corners_checked:
+            corners_checked = True
+            if reducible_mask(strategy, _CORNERS, params).all():
+                raise InvalidParameterError(
+                    "the strategy pins the chain for every opponent: it is "
+                    "reducible at all four corner opponents q in {0, 1}^2")
         if discarded > 100 * trials:
             raise InvalidParameterError(
                 f"too many reducible draws ({discarded} discarded for "

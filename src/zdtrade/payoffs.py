@@ -39,6 +39,13 @@ STATE_NAMES = ("CC", "CD", "DC", "DD")
 _CURRENCY_FIELDS = ("c_p", "c_c", "c_p1", "c_c1", "c_p2", "c_c2")
 _PARAM_FIELDS = _CURRENCY_FIELDS + ("e1", "e2")
 
+# A solved strategy entry may overshoot [0, 1] by this much and still count
+# as feasible (pinning then clamps it); region boundaries are
+# rounding-sensitive.
+BOUNDARY_TOL = 1e-9
+# A denominator within this much of 0 is degenerate.
+DENOM_TOL = 1e-12
+
 
 def check_unit_interval(**values) -> None:
     """Raise InvalidParameterError naming the first value outside [0, 1]
@@ -169,18 +176,18 @@ def payoff_arrays(params: GameParams, e1, e2):
                u_c(DC) = (1-e1) c_c
                u_c(DD) = (1-e1) c_c + (1-e1) c_c1 - (1-e2) c_c2
     """
-    u_p = np.stack(np.broadcast_arrays(
-        params.c_p,
-        params.c_p - params.c_p1 + (1 - e2) * params.c_p2,
-        (1 - e1) * params.c_p,
-        (1 - e1) * params.c_p - (1 - e1) * params.c_p1 + (1 - e2) * params.c_p2,
-    ), axis=-1)
-    u_c = np.stack(np.broadcast_arrays(
-        params.c_c,
-        params.c_c + params.c_c1 - (1 - e2) * params.c_c2,
-        (1 - e1) * params.c_c,
-        (1 - e1) * params.c_c + (1 - e1) * params.c_c1 - (1 - e2) * params.c_c2,
-    ), axis=-1)
+    shape = np.broadcast_shapes(np.shape(e1), np.shape(e2)) + (4,)
+    u_p, u_c = np.empty(shape), np.empty(shape)
+    u_p[..., 0] = params.c_p
+    u_p[..., 1] = params.c_p - params.c_p1 + (1 - e2) * params.c_p2
+    u_p[..., 2] = (1 - e1) * params.c_p
+    u_p[..., 3] = ((1 - e1) * params.c_p - (1 - e1) * params.c_p1
+                   + (1 - e2) * params.c_p2)
+    u_c[..., 0] = params.c_c
+    u_c[..., 1] = params.c_c + params.c_c1 - (1 - e2) * params.c_c2
+    u_c[..., 2] = (1 - e1) * params.c_c
+    u_c[..., 3] = ((1 - e1) * params.c_c + (1 - e1) * params.c_c1
+                   - (1 - e2) * params.c_c2)
     return u_p, u_c
 
 

@@ -21,12 +21,8 @@ import numpy as np
 from ._text import csv_text, grid_axes
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
-from .payoffs import (GameParams, build_payoffs, check_count,
-                      check_e2_below_one, check_unit_interval)
-
-# p2/p3 may overshoot [0, 1] by this much and still count as feasible
-# (then clamped); region boundaries are rounding-sensitive.
-BOUNDARY_TOL = 1e-9
+from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
+                      check_count, check_e2_below_one, check_unit_interval)
 
 # A scan and its CSV peak at ~150-180 bytes per (p1, p4) cell (tracemalloc,
 # resolution 1001 to 301): at most MAX_RESOLUTION keeps one scan under ~1.6 GB.
@@ -53,7 +49,7 @@ def _pinning_constants(params: GameParams):
     b = float(u_c[0])
     a = float((u_c[3] - params.e2 * u_c[2]) / (1 - params.e2))
     d1 = float(u_c[0] - u_c[3] - params.e2 * (u_c[0] - u_c[2]))
-    if abs(d1) <= 1e-12:
+    if abs(d1) <= DENOM_TOL:
         raise DegenerateParameterError(
             f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
         )
@@ -131,8 +127,8 @@ def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:
            + [u_c(CC) - u_c(DC)] (1 - e2) p4 } / D1
     D1 = u_c(CC) - u_c(DD) - e2 [u_c(CC) - u_c(DC)]
 
-    Raises DegenerateParameterError when e2 = 1 or |D1| <= 1e-12.  This is
-    the one-cell evaluation of the region scan's kernel.
+    Raises DegenerateParameterError when e2 = 1 or |D1| <= DENOM_TOL.  This
+    is the one-cell evaluation of the region scan's kernel.
     """
     check_unit_interval(p1=p1, p4=p4)
     u_c, a, b, d1 = _pinning_constants(params)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -199,18 +200,38 @@ def test_verify_refuses_infeasible(base_params):
         verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
 
 
+def _pinning_solution(p) -> ExtortionSolution:
+    return ExtortionSolution(p=p, feasible=True, chi=1.5, phi=0.1,
+                             chi_lower=1.0, chi_upper=2.0, phi_range=None)
+
+
 def test_verification_refuses_a_strategy_that_pins_the_chain(base_params):
-    # p = (1, 1, 0, 0) keeps the provider's action: {CC, CD} and {DC, DD}
-    # never meet, whatever the collector plays, so every draw is reducible
-    sol = ExtortionSolution(p=(1.0, 1.0, 0.0, 0.0), feasible=True, chi=1.5,
-                            phi=0.1, chi_lower=1.0, chi_upper=2.0,
-                            phi_range=None)
+    # p4 = 2.01e-9 barely leaves DD: only opponents with
+    # s = (1 - e1) q1 + e1 q2 below ~0.005 keep an irreducible chain, so a
+    # corner opponent does and the 100 x trials guard has to refuse it
+    sol = _pinning_solution((1.0, 1.0, 0.0, 2.01e-9))
     with pytest.raises(InvalidParameterError,
                        match=r"too many reducible draws \(1010 discarded for "
                              r"10 trials, limit 100 x trials = 1000\)"):
         verify_extortion_relation(sol, base_params,
                                   ExtortionParams(l1=1, l2=2, chi=1.5),
                                   trials=10, rng=0)
+
+
+def test_verification_refuses_a_strategy_that_pins_every_chain_at_once(
+        base_params):
+    # p = (1, 1, 0, 0) keeps the provider's action: {CC, CD} and {DC, DD}
+    # never meet, whatever the collector plays; the first empty pass shows
+    # it at the four corner opponents, long before 100 x MAX_TRIALS draws
+    sol = _pinning_solution((1.0, 1.0, 0.0, 0.0))
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError,
+                       match=r"pins the chain for every opponent: it is "
+                             r"reducible at all four corner opponents"):
+        verify_extortion_relation(sol, base_params,
+                                  ExtortionParams(l1=1, l2=2, chi=1.5),
+                                  trials=MAX_TRIALS, rng=0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("trials", [10**30, MAX_TRIALS + 1])

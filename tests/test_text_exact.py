@@ -94,7 +94,7 @@ def test_array_path_renders_nearly_every_pinning_cell():
     params = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
     grid = scan_pinning_region(params, resolution=101)
     floats = [grid.p2.ravel(), grid.p3.ravel(), grid.pinned_s_c.ravel()]
-    fallback = sum(len(text_mod._float_cells(c, False)[1]) for c in floats)
+    fallback = sum(len(text_mod._float_cells(c)[1]) for c in floats)
     assert fallback <= 1e-3 * sum(c.size for c in floats)
 
 
