@@ -8,18 +8,21 @@ A CSV value prints by the rule of its numpy dtype kind: floats as `%.12g`
 (nan, inf, -inf, -0), integers as `%d`, booleans as false/true, strings as
 they are.  Nothing depends on the locale, so reruns are byte-identical.
 
-`csv_text` renders BLOCK_ROWS rows at a time into one uint32 buffer, held
-transposed so that each word column is written by one contiguous `take`.
-Every cell is a whole number of 4-byte words padded with the byte 0xFF,
-which UTF-8 never produces; `bytes.translate` deletes the padding from the
-block.  Digits come from 10^4-entry word tables (10^3 for the units word)
-that hold digits and padding only, leading and trailing zeros already
-padded, so a cell costs a few table lookups, not per-byte work.  Every
-other byte is a mark XORed into a pad byte that the tables leave free: the
-row's line break or the `,` into byte 0 of every cell, the `-` into byte 1
-of a number's first word and the `.` into byte 3 of its units word.
-Booleans and `table` and `grid_axes` columns are coded: each distinct cell
-is rendered once and taken by code.
+`csv_blocks` renders BLOCK_ROWS rows at a time into one uint32 buffer,
+held transposed so that each word column is written by one contiguous
+`take`, and yields each block as bytes; `write_csv` writes the blocks into
+a binary file one at a time, so an artifact is never held whole, and
+`csv_text` is their joined string.  Every cell is a whole number of 4-byte
+words padded with the byte 0xFF, which UTF-8 never produces;
+`bytes.translate` deletes the padding from the block.  Digits come from
+10^4-entry word tables (10^3 for the units word) that hold digits and
+padding only, leading and trailing zeros already padded, so a cell costs a
+few table lookups, not per-byte work.  Every other byte is a mark XORed
+into a pad byte that the tables leave free: the row's line break or the `,`
+into byte 0 of every cell, the `-` into byte 1 of a number's first word and
+the `.` into byte 3 of its units word.  Booleans and `table` and
+`grid_axes` columns are coded: each distinct cell is rendered once and
+taken by code; a `range` column is made an array a block at a time.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -36,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -223,6 +226,9 @@ class Coded:
         self.size = size
         self.codes = codes
 
+    def __len__(self) -> int:
+        return self.size
+
 
 _BOOL = _text_cells(["false", "true"])
 
@@ -258,9 +264,10 @@ def grid_axes(outer, inner) -> tuple[Coded, Coded]:
                   lambda start, stop: np.arange(start, stop) % n))
 
 
-def _column(col) -> Coded | np.ndarray:
-    """A 1-D array or coded column; a bool array becomes a coded column."""
-    if isinstance(col, Coded):
+def _column(col) -> Coded | range | np.ndarray:
+    """A 1-D array, `range` or coded column; a bool array becomes a coded
+    column."""
+    if isinstance(col, (Coded, range)):
         return col
     col = np.asarray(col)
     if col.ndim != 1:
@@ -278,6 +285,8 @@ def _lookups(col, start: int, stop: int):
         codes = col.codes(start, stop)
         return [(w, codes) for w in _cell_words(col.cells).T], (), [], []
     values = col[start:stop]
+    if isinstance(values, range):
+        values = np.arange(values.start, values.stop, values.step)
     if values.dtype.kind == "f":
         return _float_cells(values)
     if values.dtype.kind in "iu":
@@ -319,22 +328,44 @@ def _texts(values: np.ndarray) -> list:
             for row in buf.T]
 
 
-def csv_text(header, columns) -> str:
-    """CSV text: the header line, then one line per row of the equal-length
-    1-D `columns` (arrays, or coded columns from `table` and `grid_axes`)."""
+def csv_blocks(header, columns) -> Iterator[bytes]:
+    """The CSV of the equal-length 1-D `columns` (arrays, a `range`, or
+    coded columns from `table` and `grid_axes`) as UTF-8 blocks: the header
+    line, one block of up to BLOCK_ROWS rows at a time, then the final line
+    break.  The columns are checked here, before the first block."""
     cols = [_column(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"CSV has {len(header)} header names but "
                          f"{len(cols)} columns")
-    sizes = sorted({c.size for c in cols})
+    sizes = sorted({len(c) for c in cols})
     if len(sizes) > 1:
         raise ValueError(f"CSV columns have unequal lengths {sizes}")
-    rows = sizes[0] if sizes else 0
-    parts = [",".join(header)]      # each row starts with its line break
+    return _blocks(",".join(header).encode(), cols, sizes[0] if sizes else 0)
+
+
+def _blocks(head: bytes, cols: list, rows: int) -> Iterator[bytes]:
+    yield head                      # each row starts with its line break
     for start in range(0, rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, rows)
-        buf = _fill([_lookups(c, start, stop) for c in cols], stop - start)
-        parts.append(buf.T.tobytes().translate(None, b"\xff").decode())
-        del buf  # lets the next block reuse it: ~34 MB less RSS at 1001^2
-    parts.append("\n")
-    return "".join(parts)
+        yield _block(cols, start, min(start + BLOCK_ROWS, rows))
+    yield b"\n"
+
+
+def _block(cols: list, start: int, stop: int) -> bytes:
+    """Rows start:stop as bytes; neither the buffer nor the block outlives
+    its write, so the next block reuses their memory."""
+    buf = _fill([_lookups(c, start, stop) for c in cols], stop - start)
+    return buf.T.tobytes().translate(None, b"\xff")
+
+
+def csv_text(header, columns) -> str:
+    """The CSV of `csv_blocks` joined into one string."""
+    return b"".join(csv_blocks(header, columns)).decode()
+
+
+def write_csv(header, columns, out=None) -> str | None:
+    """The CSV text of `columns`, or with a binary file `out`, None after
+    writing it there block by block."""
+    if out is None:
+        return csv_text(header, columns)
+    out.writelines(csv_blocks(header, columns))
+    return None

@@ -145,10 +145,15 @@ def _grid(section: dict, key: str) -> np.ndarray:
                        spec["num"])
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, artifact) -> None:
+    """Write `artifact` to `path`: a str as UTF-8, or a CSV writer such as
+    `PinningGrid.to_csv`, called with the binary file."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            if isinstance(artifact, str):
+                fh.write(artifact.encode())
+            else:
+                artifact(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -165,7 +170,7 @@ def _enforce_ordering(params: GameParams) -> None:
 
 # --------------------------------------------------------------------------
 # Command handlers: each returns (summary, json_payload, csv, exit_code),
-# where csv is (key, value) pairs or a callable returning the CSV text.
+# where csv is (key, value) pairs or a `to_csv(out=None)` CSV writer.
 # --------------------------------------------------------------------------
 
 def _cmd_payoffs(args, cfg, params):
@@ -308,7 +313,7 @@ def _cmd_simulate(args, cfg, params):
     trace_path = section.get("trace_path")
     if trace_path:
         result, trace = play_rounds(config, collect_trace=True)
-        _write(trace_path, trace.to_csv())
+        _write(trace_path, trace.to_csv)
     else:
         result = play_rounds(config)
     payload = {"config": {"rounds": rounds, "burn_in": burn_in, "seed": seed,
@@ -395,21 +400,22 @@ def main(argv=None) -> int:
         summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
         output = cfg.get("output", {})
         if (args.format or output.get("format") or "csv") == "json":
-            text = json.dumps(plain(payload, strict=True), indent=2,
-                              allow_nan=False) + "\n"
+            artifact = json.dumps(plain(payload, strict=True), indent=2,
+                                  allow_nan=False) + "\n"
         elif callable(csv):
-            text = csv()
+            artifact = csv
         else:
             keys, values = zip(*[(k, v) for k, v in csv if v is not None
                                  and not isinstance(v, (list, dict))])
-            text = csv_text(["key", "value"], [table(keys), table(values)])
+            artifact = csv_text(["key", "value"], [table(keys), table(values)])
         path = args.out or output.get("path")
         if path:
-            _write(path, text)
+            _write(path, artifact)
             print(summary)
         else:
             sys.stderr.write(summary + "\n")
-            sys.stdout.write(text)
+            sys.stdout.write(artifact if isinstance(artifact, str)
+                             else artifact())
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._text import csv_text, grid_axes, plain
+from ._text import grid_axes, plain, write_csv
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
@@ -45,8 +45,9 @@ MAX_TRIALS = 5_000_000
 # strategy whose chain is reducible at these four corners is at every q.
 _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
-# A scan and its CSV peak at ~250 bytes per (e1, e2) cell (tracemalloc, 200^2
-# to 800^2 cells): MAX_GRID_NUM points per axis keep one scan under ~1.9 GB.
+# A scan peaks at ~250 bytes per (e1, e2) cell, and its CSV, written block by
+# block, does not raise that peak (tracemalloc, 200^2 to 800^2 cells):
+# MAX_GRID_NUM points per axis keep one scan under ~1.9 GB.
 MAX_GRID_NUM = 2700
 
 
@@ -358,11 +359,13 @@ class ExtortionGrid:
     def feasible_count(self) -> int:
         return int(self.feasible.sum())
 
-    def to_csv(self) -> str:
-        return csv_text(["e1", "e2", "chi_lower", "chi_upper", "feasible"],
-                        [*grid_axes(self.e1_axis, self.e2_axis),
-                         self.chi_lower.ravel(), self.chi_upper.ravel(),
-                         self.feasible.ravel()])
+    def to_csv(self, out=None) -> str | None:
+        """The CSV text, or None after writing it into the binary file
+        `out` block by block."""
+        return write_csv(["e1", "e2", "chi_lower", "chi_upper", "feasible"],
+                         [*grid_axes(self.e1_axis, self.e2_axis),
+                          self.chi_lower.ravel(), self.chi_upper.ravel(),
+                          self.feasible.ravel()], out)
 
     def summary(self) -> dict:
         feas = self.feasible

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import csv_text, grid_axes
+from ._text import grid_axes, write_csv
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
                       check_count, check_e2_below_one, check_unit_interval)
 
-# A scan and its CSV peak at ~150-180 bytes per (p1, p4) cell (tracemalloc,
-# resolution 1001 to 301): at most MAX_RESOLUTION keeps one scan under ~1.6 GB.
+# A scan peaks at ~45 bytes per (p1, p4) cell, and its CSV, written block by
+# block, adds a few MB of block buffers (tracemalloc, resolution 1001 and
+# 2001; ~83 bytes per cell at 301): at most MAX_RESOLUTION keeps one scan
+# under ~0.5 GB.
 MAX_RESOLUTION = 3000
 
 # Reasons attached to infeasible cells.
@@ -208,11 +210,13 @@ class PinningGrid:
     def reason(self, i: int, j: int) -> str | None:
         return _REASON_CODES[int(self.reason_code[i, j])]
 
-    def to_csv(self) -> str:
-        return csv_text(["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
-                        [*grid_axes(self.p1_axis, self.p4_axis),
-                         self.feasible.ravel(), self.p2.ravel(),
-                         self.p3.ravel(), self.pinned_s_c.ravel()])
+    def to_csv(self, out=None) -> str | None:
+        """The CSV text, or None after writing it into the binary file
+        `out` block by block."""
+        return write_csv(["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
+                         [*grid_axes(self.p1_axis, self.p4_axis),
+                          self.feasible.ravel(), self.p2.ravel(),
+                          self.p3.ravel(), self.pinned_s_c.ravel()], out)
 
     def summary(self) -> dict:
         feas = self.feasible

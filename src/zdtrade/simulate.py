@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._text import csv_text, plain, table
+from ._text import plain, table, write_csv
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       check_count, check_seed)
@@ -40,9 +40,9 @@ BATCH_COUNT = 100
 _BLOCK = 1 << 16
 _CHUNK = 128
 
-# A run peaks at ~85 bytes per round with collect_trace and Trace.to_csv
-# (tracemalloc, 2e5 and 1e6 rounds; ~27 bytes without the trace): the
-# ceiling keeps one call under ~1.4 GB.
+# A run peaks at ~38-44 bytes per round with collect_trace and Trace.to_csv
+# into a file (tracemalloc, 1e6 and 2e5 rounds; ~27 bytes at 1e6 without
+# the trace): the ceiling keeps one call under ~0.7 GB.
 MAX_ROUNDS = 16_000_000
 
 
@@ -104,19 +104,21 @@ class Trace:
                 collector_payoff=float(self.u_c[t]),
             )
 
-    def to_csv(self) -> str:
+    def to_csv(self, out=None) -> str | None:
+        """The CSV text, or None after writing it into the binary file
+        `out` block by block."""
         # u_p and u_c depend only on the state a round forms: each is a
         # column of the four states' values, coded by that state
         state = (~self.provider_coop).view(np.int8) * 2 + ~self.collector_coop
         at = [int(np.argmax(state == s)) for s in range(4)] if len(self) else []
-        return csv_text(
+        return write_csv(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
-            [np.arange(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
+            [range(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
              table("bg", self.provider_obs_g), table("DC", self.provider_coop),
              table("bg", self.collector_obs_g), table("DC", self.collector_coop),
              table(self.u_p[at], state), table(self.u_c[at], state)],
-        )
+            out)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 import json
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from zdtrade.cli import _SCHEMA, main
-from zdtrade.extortion import MAX_GRID_NUM
-from zdtrade.pinning import MAX_RESOLUTION
+from zdtrade.extortion import MAX_GRID_NUM, scan_extortion_region
+from zdtrade.markov import CollectorStrategy, ProviderStrategy
+from zdtrade.pinning import MAX_RESOLUTION, scan_pinning_region
+from zdtrade.simulate import SimConfig, play_rounds
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -463,3 +467,47 @@ def test_simulate_reducible_chain_skips_comparison(tmp_path, capsys):
     assert json.loads(out_file.read_text())["comparison"] is None
     summary = capsys.readouterr().out.strip()
     assert summary.endswith("analytic comparison skipped (reducible chain).")
+
+
+@pytest.mark.parametrize("command, section, streamed", [
+    ("scan-pin", {"pinning": {"resolution": 7}},
+     lambda params: scan_pinning_region(params, resolution=7)),
+    ("scan-extort", {"extortion": {"l1": 1, "l2": 2, "chi_probe": 1.5,
+                                   "e1_grid": {"num": 5, "max": 0.8},
+                                   "e2_grid": {"num": 4, "max": 0.8}}},
+     lambda params: scan_extortion_region(
+         params, 1.0, 2.0, np.linspace(0, 0.8, 5), np.linspace(0, 0.8, 4),
+         chi_probe=1.5)),
+    ("simulate", {"simulation": {"rounds": 300, "seed": 2,
+                                 "p": [0.7, 0.4, 0.6, 0.3], "q": [0.6, 0.4]}},
+     lambda params: play_rounds(
+         SimConfig(params=params, p=ProviderStrategy(0.7, 0.4, 0.6, 0.3),
+                   q=CollectorStrategy(0.6, 0.4), rounds=300, seed=2),
+         collect_trace=True)[1]),
+], ids=["scan-pin", "scan-extort", "simulate-trace"])
+def test_streamed_artifact_bytes(tmp_path, capsysbinary, base_params,
+                                 command, section, streamed):
+    trace = tmp_path / "trace.csv"
+    if command == "simulate":
+        section = {"simulation": dict(section["simulation"],
+                                      trace_path=str(trace))}
+    cfg = write_config(tmp_path, **section)
+    out = tmp_path / "artifact.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main([command, "--config", cfg]) == 0
+    assert out.read_bytes() == capsysbinary.readouterr().out
+    # the trace of simulate, the artifact itself of a scan
+    written = trace if command == "simulate" else out
+    assert written.read_bytes() == streamed(base_params).to_csv().encode()
+
+
+# resolution 5 fails when the file is closed, 101 (~600 kB) on a write
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("resolution", [5, 101])
+def test_failed_write_exit_2(tmp_path, capsys, resolution):
+    cfg = write_config(tmp_path, pinning={"resolution": resolution})
+    assert main(["scan-pin", "--config", cfg, "--out", "/dev/full"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: cannot write /dev/full: ")
+    assert out.out == ""

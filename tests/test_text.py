@@ -1,5 +1,7 @@
 """The column-wise CSV formatter against per-value reference formatting."""
 
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import zdtrade._text as text_mod
 from zdtrade import (ProviderStrategy, matrix_to_csv, scan_extortion_region,
                      scan_pinning_region)
-from zdtrade._text import csv_text, table
+from zdtrade._text import csv_blocks, csv_text, table
 from zdtrade.markov import CollectorStrategy
 from zdtrade.payoffs import STATE_NAMES
 from zdtrade.simulate import SimConfig, play_rounds
@@ -131,3 +133,51 @@ def test_trace_matches_reference(base_params):
 def test_matrix_csv_matches_reference(m):
     rows = [[STATE_NAMES[i]] + [float(x) for x in m[i]] for i in range(4)]
     assert matrix_to_csv(m) == ref_csv(["state"] + list(STATE_NAMES), rows)
+
+
+def _artifacts(params):
+    """A pinning grid, an extortion grid (with chi_probe) and a trace of
+    25 rows each."""
+    axis = np.linspace(0.0, 0.8, 5)
+    config = SimConfig(params=params, p=ProviderStrategy(0.9, 0.78, 0.08, 0.1),
+                       q=CollectorStrategy(0.3, 0.7), rounds=25, seed=3)
+    return [scan_pinning_region(params, resolution=5),
+            scan_extortion_region(params, 1, 2, axis, axis, chi_probe=1.5),
+            play_rounds(config, collect_trace=True)[1]]
+
+
+def _empty(artifact):
+    """`artifact` with every array field cut to its first 0 entries."""
+    return dataclasses.replace(artifact, **{
+        f.name: getattr(artifact, f.name)[:0]
+        for f in dataclasses.fields(artifact)
+        if isinstance(getattr(artifact, f.name), np.ndarray)})
+
+
+# 25 rows: exactly 1 and 5 blocks, one row more (24, 12) and one row less
+# (26, 13) than whole blocks
+@pytest.mark.parametrize("block_rows", [25, 5, 24, 12, 26, 13])
+def test_streamed_csv_is_the_text_encoded(base_params, monkeypatch,
+                                          block_rows):
+    artifacts = _artifacts(base_params)
+    artifacts += [_empty(a) for a in artifacts]
+    expected = [a.to_csv() for a in artifacts]
+    monkeypatch.setattr(text_mod, "BLOCK_ROWS", block_rows)
+    for artifact, text in zip(artifacts, expected):
+        out = io.BytesIO()
+        assert artifact.to_csv(out) is None
+        assert artifact.to_csv() == text
+        assert out.getvalue() == text.encode()
+    assert [t.count("\n") for t in expected] == [26] * 3 + [1] * 3
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a"], [np.array([1.0]), np.array([2.0])], "1 header names but 2 columns"),
+    (["a", "b"], [np.array([1.0]), np.array([2.0, 3.0])],
+     r"unequal lengths \[1, 2\]"),
+    (["a"], [np.zeros((2, 2))], r"1-D, got shape \(2, 2\)"),
+])
+def test_csv_blocks_checks_columns_before_the_first_block(header, columns,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        csv_blocks(header, columns)         # not iterated
