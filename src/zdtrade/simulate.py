@@ -17,11 +17,22 @@ One pseudo-random stream per run, consuming exactly four uniforms per
 round in the order above, so traces are reproducible and independent of
 implementation details.  Round 1 uses the fictitious previous outcome
 (initial provider action, g).
+
+A round's play is a function of the state before it, {0..3} -> {0..3},
+fixed by its four uniforms: one byte, whose bits 2k..2k+1 hold the state
+after the round when the state before it was k.  The uniforms' eight
+comparisons make the round's draw code, and a 256-entry table turns the
+code into the byte.  Two rounds compose by one lookup in a 65,536-entry
+table, so the trajectory is a prefix composition (Blelloch 1990) of the
+run's bytes, folded in place: a run keeps one byte per round for its
+states and peaks at ~10 bytes per round (tracemalloc, 1e6 rounds), ~24
+with its trace and the trace's CSV written to a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -35,14 +46,19 @@ from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
 # Markov chain are autocorrelated, so naive i.i.d. errors would lie).
 BATCH_COUNT = 100
 
-# play_rounds draws _BLOCK rounds at a time and folds them in chunks of
+# play_rounds draws _BLOCK rounds at a time and folds the run in chunks of
 # _CHUNK rounds; neither changes a result.
 _BLOCK = 1 << 16
 _CHUNK = 128
 
-# A run peaks at ~38-44 bytes per round with collect_trace and Trace.to_csv
-# into a file (tracemalloc, 1e6 and 2e5 rounds; ~27 bytes at 1e6 without
-# the trace): the ceiling keeps one call under ~0.7 GB.
+# A next-state function of {0..3} as a byte: bits 2k..2k+1 hold the image of
+# state k.  This one maps every state to itself.
+_IDENTITY = 0b11100100
+
+# A run peaks at ~10 bytes per round without a trace and ~24 with
+# collect_trace and Trace.to_csv into a file (tracemalloc at 1e6 rounds;
+# ~20 and ~33 at 2e5, where the fixed block buffers weigh more): the
+# ceiling keeps one call under ~0.4 GB.
 MAX_ROUNDS = 16_000_000
 
 
@@ -147,29 +163,123 @@ def _batch_se(x: np.ndarray) -> float:
     return float(means.std(ddof=1) / np.sqrt(BATCH_COUNT))
 
 
-def _fold(table: np.ndarray, state: int) -> np.ndarray:
-    """The states reached from `state` through the next-state table
-    (rows, 4), rows a multiple of _CHUNK: row t maps the state before
-    round t+1 to the state after it.
+def _state_frequencies(used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency of each state in `used` and its batch-means standard
+    error, bit for bit _batch_se of the state's 0/1 series.
 
-    A chunked prefix composition (Blelloch 1990): all chunks advance all
-    four start states at once, one row per numpy step, then one loop over
-    the chunks picks each chunk's real start state and its path.
+    A batch of 0/1 floats sums to an exact integer, so each batch mean is
+    the state's count in the batch over the batch size, and the series is
+    never made as floats.
     """
-    chunks = table.shape[0] // _CHUNK
-    flat = table.ravel()
-    at = np.arange(0, flat.size, 4 * _CHUNK)[:, None]
-    # paths[j, c, k]: the state after row j of chunk c entered in state k
-    paths = np.empty((_CHUNK, chunks, 4), dtype=np.int8)
-    ends = np.broadcast_to(np.arange(4, dtype=np.int8), (chunks, 4))
-    for j in range(_CHUNK):
-        ends = paths[j] = np.take(flat, at + ends)
-        at += 4
+    n = used.size
+    size = n // BATCH_COUNT
+    counts, se = [], []
+    for k in range(4):
+        hit = used == k
+        counts.append(np.count_nonzero(hit))
+        if size < 2:
+            se.append(_batch_se(hit.astype(float)))
+            continue
+        batches = hit[:BATCH_COUNT * size].reshape(BATCH_COUNT, size)
+        means = np.array([np.count_nonzero(b) for b in batches]) / size
+        se.append(float(means.std(ddof=1) / np.sqrt(BATCH_COUNT)))
+    return np.array(counts) / n, np.array(se)
+
+
+def _gather(values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """values[states], in ~40% of the time of fancy indexing.
+
+    np.take casts its whole index array to intp first, so it runs over
+    _BLOCK states at a time.  The states are in range: mode "clip" only
+    skips the bounds check and buffered output that took the default mode
+    ~6x as long as the gather itself.
+    """
+    out = np.empty(states.size, dtype=values.dtype)
+    for at in range(0, states.size, _BLOCK):
+        np.take(values, states[at:at + _BLOCK], out=out[at:at + _BLOCK],
+                mode="clip")
+    return out
+
+
+def _mean_se(values: np.ndarray, states: np.ndarray) -> tuple[float, float]:
+    """Mean and batch-means standard error of the series values[states],
+    which lives only for this call."""
+    x = _gather(values, states)
+    return float(x.mean()), _batch_se(x)
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """(step, compose), built on first use.
+
+    step[code] is the next-state function byte of a round with draw code
+    `code` (see _draw_codes).  compose[f * 256 + g] is the byte of the
+    function f followed by g.
+    """
+    bit = [np.arange(256) >> i & 1 for i in range(8)]
+    step = 0
+    for k in range(4):
+        # the provider sees the collector's last action as g after a C, or
+        # after a D masked by noise, and plays the entry for (the
+        # provider's last action, what was seen): p1 or p2 after C, p3 or
+        # p4 after D
+        seen_g = 1 if k % 2 == 0 else bit[0]
+        x = np.where(seen_g, bit[2 + (k & 2)], bit[3 + (k & 2)])
+        # the collector sees g after a C, or after a D masked by noise
+        y = np.where(x | bit[1], bit[6], bit[7])
+        step = step | (2 * (1 - x) + 1 - y) << 2 * k
+    f = np.arange(256, dtype=np.uint8)
+    image = np.stack([f >> 2 * s & 3 for s in range(4)])  # image[s, g] = g(s)
+    compose = np.zeros((256, 256), dtype=np.uint8)
+    for k in range(4):
+        compose |= image[f >> 2 * k & 3] << 2 * k
+    return step.astype(np.uint8), compose.ravel()
+
+
+def _draw_codes(u: np.ndarray, config: SimConfig) -> np.ndarray:
+    """The uint8 draw code of each round of the uniforms u (rounds, 4).
+
+    From bit 0 up, its bits are u_obs < e2, u_cobs >= e1, u_act < p1..p4,
+    u_cact < q1 and u_cact < q2: every comparison a round's play can need.
+    """
+    u_obs, u_act, u_cobs, u_cact = u.T
+    # u_act and u_cact meet four and two thresholds: compare them from
+    # contiguous copies, not through the 4-float stride each time
+    u_act, u_cact = u_act.copy(), u_cact.copy()
+    code = (u_obs < config.params.e2).view(np.uint8)
+    bits = [u_cobs >= config.params.e1, *(u_act < p for p in config.p.vector),
+            u_cact < config.q.q1, u_cact < config.q.q2]
+    for i, b in enumerate(bits, start=1):
+        code |= b.view(np.uint8) * (1 << i)
+    return code
+
+
+def _fold(fns: np.ndarray, state: int) -> None:
+    """Turn `fns`, the function bytes of consecutive rounds (a multiple of
+    _CHUNK of them), in place into the states after each round, entered in
+    `state`.
+
+    A chunked prefix composition (Blelloch 1990): _CHUNK array steps over
+    every chunk of the run compose each chunk's bytes up to each of its
+    rounds through the compose table; one loop over the chunk ends gives
+    each chunk's start state; and each prefix, applied to its chunk's start
+    state by a shift and a mask, is the state after its round.
+    """
+    compose = _tables()[1]
+    chunks = fns.reshape(-1, _CHUNK)
+    # rows[j, c]: the byte of round j of chunk c, then of rounds 0..j of it
+    rows = chunks.T.copy()
+    for j in range(1, _CHUNK):
+        at = np.multiply(rows[j - 1], 256, dtype=np.intp)
+        at += rows[j]
+        np.take(compose, at, out=rows[j], mode="clip")
     starts = []
-    for row in ends.tolist():
+    for end in rows[-1].tolist():
         starts.append(state)
-        state = row[state]
-    return paths[:, np.arange(chunks), starts].T.ravel()
+        state = end >> 2 * state & 3
+    np.right_shift(rows, 2 * np.array(starts, dtype=np.uint8), out=rows)
+    rows &= 3
+    chunks[...] = rows.T
 
 
 def play_rounds(config: SimConfig, collect_trace: bool = False):
@@ -182,74 +292,60 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
     randomness.
 
     The quadruples are drawn _BLOCK rounds at a time (PCG64 block draws
-    continue the one stream exactly).  Each block becomes a table of the
-    next state for every round and previous state, and _fold walks the
-    actual trajectory through it.  This is draw-for-draw identical to a
-    plain sequential loop.
+    continue the one stream exactly).  A round's comparisons make its draw
+    code, and a 256-entry table turns the code into the round's next-state
+    function: one byte, the state after the round for each state before
+    it.  _fold composes the whole run's bytes into the trajectory, in
+    place.  This is draw-for-draw identical to a plain sequential loop.
     """
-    params, rounds = config.params, config.rounds
-    p1, p2, p3, p4 = config.p.vector
-    q1, q2 = config.q.q1, config.q.q2
-    e1, e2 = params.e1, params.e2
-    payoff = build_payoffs(params)
+    rounds = config.rounds
+    step = _tables()[0]
+    payoff = build_payoffs(config.params)
     rng = np.random.default_rng(config.seed)
 
-    # seq[t]: the state before round t+1
-    seq = np.empty(rounds + 1, dtype=np.int8)
+    # seq[t]: the state before round t+1.  seq[1:] first holds the rounds'
+    # function bytes, identity bytes padding the last chunk.
+    seq = np.empty(1 + -(-rounds // _CHUNK) * _CHUNK, dtype=np.uint8)
     seq[0] = int(config.initial_state)
+    seq[1 + rounds:] = _IDENTITY
     if collect_trace:
         provider_obs_g = np.empty(rounds, dtype=bool)
         collector_obs_g = np.empty(rounds, dtype=bool)
     for start in range(0, rounds, _BLOCK):
         n = min(_BLOCK, rounds - start)
-        u_obs, u_act, u_cobs, u_cact = rng.random((n, 4)).T.copy()
-        g = u_obs < e2                  # the collector's defection seen as g
+        code = _draw_codes(rng.random((n, 4)), config)
         if start == 0:
-            g[0] = True                 # fictitious round-1 outcome: g
-        c1, c2, c3, c4 = (u_act < p for p in (p1, p2, p3, p4))
-        seen_g = u_cobs >= e1           # the provider's defection seen as g
-        # the collector defects after the provider played C, or D
-        d_after_c = u_cact >= q1
-        d_after_d = (seen_g & d_after_c) | (~seen_g & (u_cact >= q2))
-        # the provider cooperates after CC, CD, DC, DD
-        x = np.stack([c1, (g & c1) | (~g & c2), c3, (g & c3) | (~g & c4)],
-                     axis=1)
-        table = np.empty((-(-n // _CHUNK) * _CHUNK, 4), dtype=np.int8)
-        table[:n] = ((~x).view(np.int8) << 1) | (
-            (x & d_after_c[:, None]) | (~x & d_after_d[:, None])).view(np.int8)
-        table[n:] = np.arange(4)        # identity rows pad the last chunk
-        path = _fold(table, int(seq[start]))[:n]
-        seq[start + 1:start + n + 1] = path
+            code[0] |= 1                # fictitious round-1 outcome: g
+        np.take(step, code, out=seq[1 + start:1 + start + n], mode="clip")
         if collect_trace:
-            prev = seq[start:start + n]
-            provider_obs_g[start:start + n] = g | (prev % 2 == 0)
-            collector_obs_g[start:start + n] = seen_g | (path < 2)
+            # a defection seen as g, by the provider and by the collector
+            provider_obs_g[start:start + n] = code & 1
+            collector_obs_g[start:start + n] = code & 2
+    _fold(seq[1:], int(config.initial_state))
 
+    seq = seq[:rounds + 1].view(np.int8)
     realized = seq[1:]
     used = realized[config.burn_in:]
-    counts = np.bincount(used, minlength=4)
-    freq = counts / used.size
-    up_seq = payoff.u_p[used]
-    uc_seq = payoff.u_c[used]
+    freq, se_freq = _state_frequencies(used)
+    s_p, se_s_p = _mean_se(payoff.u_p, used)
+    s_c, se_s_c = _mean_se(payoff.u_c, used)
     result = SimResult(
-        state_frequencies=freq,
-        s_p=float(up_seq.mean()), s_c=float(uc_seq.mean()),
-        se_s_p=_batch_se(up_seq), se_s_c=_batch_se(uc_seq),
-        se_frequencies=np.array([_batch_se((used == k).astype(float))
-                                 for k in range(4)]),
-        rounds_used=int(used.size),
+        state_frequencies=freq, s_p=s_p, s_c=s_c, se_s_p=se_s_p,
+        se_s_c=se_s_c, se_frequencies=se_freq, rounds_used=int(used.size),
     )
     if not collect_trace:
         return result
 
+    provider_obs_g |= seq[:-1] % 2 == 0
+    collector_obs_g |= realized < 2
     trace = Trace(
         prev_state=seq[:-1],
         provider_obs_g=provider_obs_g,
         provider_coop=realized < 2,
         collector_obs_g=collector_obs_g,
         collector_coop=realized % 2 == 0,
-        u_p=payoff.u_p[realized],
-        u_c=payoff.u_c[realized],
+        u_p=_gather(payoff.u_p, realized),
+        u_c=_gather(payoff.u_c, realized),
     )
     return result, trace
 

@@ -410,3 +410,104 @@ def test_zero_standard_errors_give_infinite_z(base_params):
     strict = plain(report, strict=True)
     assert strict["z_frequencies"] == [None] * 4
     assert strict["z_s_p"] is None and strict["max_abs_z"] is None
+
+
+# --- the byte functions, their composition and the statistics tail ----------
+
+class StreamRng:
+    """Stands in for np.random.default_rng: hands out the given uniforms."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+TIE_PLAYS = {
+    "distinct": ((0.8, 0.4, 0.6, 0.2), (0.7, 0.3)),
+    "shared": ((0.5, 0.5, 0.3, 0.3), (0.3, 0.5)),   # thresholds coincide
+}
+
+
+@pytest.mark.parametrize("play", TIE_PLAYS.values(), ids=TIE_PLAYS.keys())
+def test_draw_code_ties_follow_sequential_rule(monkeypatch, base_params, play):
+    # every uniform a round compares, set equal to each threshold and to its
+    # two neighbours, from each previous state
+    p, q = play
+    config = SimConfig(params=base_params, p=ProviderStrategy(*p),
+                       q=CollectorStrategy(*q), rounds=2, seed=0)
+    ties = sorted({np.nextafter(t, to) for t in (base_params.e1, base_params.e2,
+                                                 *p, *q)
+                   for to in (0.0, t, 1.0)})
+    other = [0.05, 0.95, 0.15, 0.85]
+    quads = [[v] * 4 for v in ties] + [other[:c] + [v] + other[c + 1:]
+                                       for v in ties for c in range(4)]
+    codes = simulate._draw_codes(np.array(quads), config).tolist()
+    step = simulate._tables()[0]
+    top = np.nextafter(1.0, 0.0)
+    for quad, code in zip(quads, codes):
+        for k in StateIndex:
+            # round 1 (fictitious g) moves into state k, round 2 draws quad
+            steer = [0.0, 0.0 if k < 2 else top, 0.0, 0.0 if k % 2 == 0 else top]
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: StreamRng(steer + quad))
+            first, (state, obs_g, _, cobs_g, _, _, _) = \
+                sequential_reference(config)
+            assert first[0] == k
+            assert step[code] >> 2 * k & 3 == state, (quad, k)
+            assert (bool(code & 1) or k % 2 == 0) == obs_g, (quad, k)
+            assert (bool(code & 2) or state < 2) == cobs_g, (quad, k)
+
+
+def test_compose_table_applies_f_then_g():
+    compose = simulate._tables()[1]
+    assert compose.dtype == np.uint8 and compose.shape == (65536,)
+    image = [[f >> 2 * s & 3 for s in range(4)] for f in range(256)]
+    got = compose.tolist()
+    for f in range(256):
+        for g in range(256):
+            byte = got[f * 256 + g]
+            assert [byte >> 2 * s & 3 for s in range(4)] == \
+                [image[g][image[f][s]] for s in range(4)], (f, g)
+    identity = 0b11100100
+    assert image[identity] == [0, 1, 2, 3]
+    fs = np.arange(256)
+    np.testing.assert_array_equal(compose[identity * 256 + fs], fs)
+    np.testing.assert_array_equal(compose[fs * 256 + identity], fs)
+
+
+@pytest.mark.parametrize("burn_in", [0, 37])
+@pytest.mark.parametrize("n", [1, 2, 199, 200, 201, 12_345, 1_000_000])
+def test_state_frequency_errors_match_indicator_series(n, burn_in):
+    # state 3 never occurs: its count and error are 0
+    realized = np.random.default_rng(n).choice(3, size=burn_in + n,
+                                               p=[0.6, 0.3, 0.1])
+    used = realized.astype(np.int8)[burn_in:]
+    freq, se = simulate._state_frequencies(used)
+    want_freq = np.bincount(used, minlength=4) / used.size
+    want_se = np.array([_batch_se((used == k).astype(float))
+                        for k in range(4)])
+    assert freq.tobytes() == want_freq.tobytes()
+    assert se.tobytes() == want_se.tobytes()
+
+
+def test_peak_memory_per_round(base_params, tmp_path):
+    config = SimConfig(params=base_params, p=ProviderStrategy(0.8, 0.4, 0.6, 0.2),
+                       q=CollectorStrategy(0.7, 0.3), rounds=1_000_000, seed=1,
+                       burn_in=1000)
+    simulate._tables()          # built once per process
+    tracemalloc.start()
+    try:
+        play_rounds(config)
+        bare = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result, trace = play_rounds(config, collect_trace=True)
+        with open(tmp_path / "trace.csv", "wb") as out:
+            trace.to_csv(out)
+        del result, trace
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bare < 12 * config.rounds
+    assert traced < 29 * config.rounds
