@@ -20,10 +20,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
-from ._text import csv_text, fmt_float, plain, table
+from ._text import fmt_float, plain, table, write_csv
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (BaselineDegenerateError, ConfigError,
                      DegenerateParameterError, InvalidParameterError,
@@ -145,15 +146,11 @@ def _grid(section: dict, key: str) -> np.ndarray:
                        spec["num"])
 
 
-def _write(path: str, artifact) -> None:
-    """Write `artifact` to `path`: a str as UTF-8, or a CSV writer such as
-    `PinningGrid.to_csv`, called with the binary file."""
+def _write(path: str, write) -> None:
+    """Call the byte writer `write` with `path` opened as a binary file."""
     try:
         with open(path, "wb") as fh:
-            if isinstance(artifact, str):
-                fh.write(artifact.encode())
-            else:
-                artifact(fh)
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -170,7 +167,7 @@ def _enforce_ordering(params: GameParams) -> None:
 
 # --------------------------------------------------------------------------
 # Command handlers: each returns (summary, json_payload, csv, exit_code),
-# where csv is (key, value) pairs or a `to_csv(out=None)` CSV writer.
+# where csv is (key, value) pairs or a byte writer such as `to_csv`.
 # --------------------------------------------------------------------------
 
 def _cmd_payoffs(args, cfg, params):
@@ -236,6 +233,9 @@ def _cmd_extort(args, cfg, params):
                           chi=float(section["chi"]),
                           phi=None if phi is None else float(phi),
                           phi_sign=section.get("phi_sign", 1))
+    if ext.phi_sign != section.get("phi_sign", ext.phi_sign):
+        raise InvalidParameterError(f"phi_sign {section['phi_sign']:+d} "
+                                    f"contradicts the sign of phi {phi!r}")
     sol = build_extortion_strategy(params, ext)
     payload = sol.as_dict()
     trials = section.get("trials", 0)
@@ -400,22 +400,28 @@ def main(argv=None) -> int:
         summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
         output = cfg.get("output", {})
         if (args.format or output.get("format") or "csv") == "json":
-            artifact = json.dumps(plain(payload, strict=True), indent=2,
-                                  allow_nan=False) + "\n"
+            data = (json.dumps(plain(payload, strict=True), indent=2,
+                               allow_nan=False) + "\n").encode()
+            write = lambda out: out.write(data)  # noqa: E731
         elif callable(csv):
-            artifact = csv
+            write = csv
         else:
             keys, values = zip(*[(k, v) for k, v in csv if v is not None
                                  and not isinstance(v, (list, dict))])
-            artifact = csv_text(["key", "value"], [table(keys), table(values)])
+            write = partial(write_csv, ["key", "value"],
+                            [table(keys), table(values)])
         path = args.out or output.get("path")
         if path:
-            _write(path, artifact)
+            _write(path, write)
             print(summary)
         else:
             sys.stderr.write(summary + "\n")
-            sys.stdout.write(artifact if isinstance(artifact, str)
-                             else artifact())
+            sys.stdout.flush()
+            try:
+                write(sys.stdout.buffer)
+                sys.stdout.buffer.flush()
+            except BrokenPipeError:
+                pass    # the reader stopped early, as `head` does: end quietly
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -47,8 +47,7 @@ class InfeasibilityCertificate:
     ordering_violations: tuple[str, ...] = ()
     baselines: tuple[float, float] | None = None
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def check_collector_pinning(params: GameParams) -> InfeasibilityCertificate:

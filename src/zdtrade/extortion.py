@@ -244,8 +244,7 @@ class ExtortionSolution:
             raise InvalidParameterError("infeasible extortion solution has no strategy")
         return ProviderStrategy(*(min(1.0, max(0.0, x)) for x in self.p))
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def build_extortion_strategy(params: GameParams,
@@ -295,8 +294,7 @@ class VerificationReport:
     max_residual: float
     discarded: int
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,

@@ -230,8 +230,7 @@ class StationaryResult:
     s_p: float
     s_c: float
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def expected_payoffs(p, q, params: GameParams) -> StationaryResult:

@@ -132,8 +132,7 @@ class GameParams:
             )
         return cls(**{k: float(mapping[k]) for k in _PARAM_FIELDS})
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
     def replace_noise(self, e1=None, e2=None) -> "GameParams":
         """Copy with one or both noise levels replaced."""
@@ -219,8 +218,7 @@ class OrderingReport:
         return (self.u_p_cc_gt_cd and self.u_p_cc_dc_dd
                 and self.u_c_cd_cc_dc and self.u_c_cd_dd_dc)
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def validate_ordering(payoffs: PayoffVectors) -> OrderingReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import grid_axes, write_csv
+from ._text import grid_axes, plain, write_csv
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
@@ -92,9 +92,9 @@ class PinningSolution:
     """
 
     p1: float
-    p4: float
     p2: float
     p3: float
+    p4: float
     a_const: float
     b_const: float
     d1_const: float
@@ -110,14 +110,7 @@ class PinningSolution:
             )
         return ProviderStrategy(self.p1, self.p2, self.p3, self.p4)
 
-    def as_dict(self) -> dict:
-        # not plain(self): the record orders the entries p1, p2, p3, p4
-        return {
-            "p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4,
-            "a_const": self.a_const, "b_const": self.b_const,
-            "d1_const": self.d1_const, "pinned_s_c": self.pinned_s_c,
-            "feasible": self.feasible, "reason": self.reason,
-        }
+    as_dict = plain
 
 
 def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:

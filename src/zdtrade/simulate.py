@@ -149,8 +149,7 @@ class SimResult:
     se_frequencies: np.ndarray
     rounds_used: int
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def _batch_se(x: np.ndarray) -> float:
@@ -360,8 +359,7 @@ class ComparisonReport:
     max_abs_z: float
     flagged: bool              # any |z| > 4
 
-    def as_dict(self) -> dict:
-        return plain(self)
+    as_dict = plain
 
 
 def _z(diff: float, se: float) -> float:

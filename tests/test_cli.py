@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import zdtrade
 from zdtrade.cli import _SCHEMA, main
 from zdtrade.extortion import MAX_GRID_NUM, scan_extortion_region
 from zdtrade.markov import CollectorStrategy, ProviderStrategy
@@ -511,3 +514,52 @@ def test_failed_write_exit_2(tmp_path, capsys, resolution):
     out = capsys.readouterr()
     assert out.err.startswith("config error: cannot write /dev/full: ")
     assert out.out == ""
+
+
+def test_extort_contradicting_phi_sign_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2, "chi": 1.5,
+                                            "phi": 0.1, "phi_sign": -1})
+    assert main(["extort", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.err == ("invalid parameters: phi_sign -1 contradicts the "
+                       "sign of phi 0.1\n")
+    assert out.out == ""
+    cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2, "chi": 1.5,
+                                            "phi": -0.1, "phi_sign": -1})
+    assert main(["extort", "--config", cfg]) == 0
+
+
+def _peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stdout_artifact_streams_like_out(tmp_path, capfd):
+    # a CSV built whole on stdout would double the --out peak at this size
+    cfg = write_config(tmp_path, pinning={"resolution": 301})
+    out = tmp_path / "grid.csv"
+    main(["scan-pin", "--config", cfg, "--out", str(out)])  # build tables
+    to_file = _peak(["scan-pin", "--config", cfg, "--out", str(out)])
+    capfd.readouterr()
+    to_stdout = _peak(["scan-pin", "--config", cfg])
+    assert capfd.readouterr().out.encode() == out.read_bytes()
+    assert to_stdout / 301**2 < 1.05 * to_file / 301**2
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    cfg = write_config(tmp_path, pinning={"resolution": 301})   # ~5 MB CSV
+    src = os.path.dirname(os.path.dirname(zdtrade.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zdtrade.cli", "scan-pin", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()                 # the reader stops, as `head` does
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "Error" not in err
+    assert err.startswith("pinning scan 301x301: ")

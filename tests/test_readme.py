@@ -1,0 +1,30 @@
+"""The README's library example runs and prints what its comments say."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _value(token: str):
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def test_library_example_prints_its_comments(capsys):
+    block = re.search(r"## Library example\n\n```python\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls)
+    promised = [(line.split("# ", 1)[1].split(), out)
+                for line, out in zip(calls, printed) if "# " in line]
+    assert [said for said, _ in promised] == [["True", "4.15"], ["4.15"]]
+    for said, out in promised:
+        assert list(map(_value, out.split())) == pytest.approx(
+            list(map(_value, said)), rel=1e-12), out

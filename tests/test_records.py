@@ -12,7 +12,8 @@ from zdtrade import (CollectorStrategy, ExtortionParams, ProviderStrategy,
                      check_collector_extortion, check_collector_pinning,
                      compare_to_analytic,
                      expected_payoffs, matrix_to_json, play_rounds,
-                     validate_ordering, verify_extortion_relation)
+                     solve_pinning, validate_ordering,
+                     verify_extortion_relation)
 from zdtrade._text import plain
 
 
@@ -56,6 +57,8 @@ def _records(base_params):
         expected_payoffs(p, q, base_params),
         result,
         compare_to_analytic(result, p, q, base_params),
+        solve_pinning(0.9, 0.1, base_params),
+        solve_pinning(1.0, 0.0, base_params),      # infeasible corner, NaN
     ]
 
 
@@ -64,10 +67,15 @@ def test_as_dict_is_plain(base_params):
     assert {type(r).__name__ for r in records} == {
         "GameParams", "OrderingReport", "InfeasibilityCertificate",
         "ExtortionSolution", "VerificationReport", "StationaryResult",
-        "SimResult", "ComparisonReport"}
+        "SimResult", "ComparisonReport", "PinningSolution"}
     for r in records:
         assert r.as_dict() == plain(r), type(r).__name__
         json.dumps(plain(r, strict=True), allow_nan=False)
+    assert [r.feasible for r in records[-2:]] == [True, False]
+    for r in records[-2:]:
+        assert list(r.as_dict()) == list(plain(r)) == [
+            "p1", "p2", "p3", "p4", "a_const", "b_const", "d1_const",
+            "pinned_s_c", "feasible", "reason"]
 
 
 @pytest.mark.parametrize("m", [
