@@ -23,19 +23,18 @@ from .extortion import (ChiBounds, ChiInterval, ExtortionGrid,
                         verify_extortion_relation)
 from .markov import (CollectorStrategy, ProviderStrategy, StationaryResult,
                      ZdColumns, build_transition_matrices,
-                     build_transition_matrix, collector_transition_factor,
-                     collector_zd_column, expected_payoffs,
-                     expected_payoffs_many, matrix_to_csv, matrix_to_json,
-                     provider_transition_factor, provider_zd_column,
-                     reducible_mask, stationary_distribution,
-                     stationary_distributions, zd_columns, zd_determinant)
+                     build_transition_matrix, collector_zd_column,
+                     expected_payoffs, expected_payoffs_many,
+                     provider_zd_column, reducible_mask,
+                     stationary_distribution, stationary_distributions,
+                     zd_columns, zd_determinant)
 from .payoffs import (GameParams, OrderingReport, PayoffVectors, STATE_NAMES,
                       StateIndex, build_payoffs, validate_ordering)
 from .pinning import (PinningGrid, PinningSolution, pinning_sensitivity_noise,
                       pinning_sensitivity_strategy, scan_pinning_region,
                       solve_pinning)
-from .simulate import (ComparisonReport, RoundRecord, SimConfig, SimResult,
-                       Trace, compare_to_analytic, play_rounds)
+from .simulate import (ComparisonReport, SimConfig, SimResult, Trace,
+                       compare_to_analytic, play_rounds)
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "PinningGrid",
     "PinningSolution",
     "ProviderStrategy",
-    "RoundRecord",
     "STATE_NAMES",
     "SimConfig",
     "SimResult",
@@ -77,18 +75,14 @@ __all__ = [
     "check_collector_pinning",
     "chi_bounds",
     "chi_feasible_interval",
-    "collector_transition_factor",
     "collector_zd_column",
     "compare_to_analytic",
     "expected_payoffs",
     "expected_payoffs_many",
-    "matrix_to_csv",
-    "matrix_to_json",
     "phi_feasible_interval",
     "pinning_sensitivity_noise",
     "pinning_sensitivity_strategy",
     "play_rounds",
-    "provider_transition_factor",
     "provider_zd_column",
     "reducible_mask",
     "scan_extortion_region",

@@ -34,9 +34,6 @@ from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
                       build_payoffs, check_count, check_e2_below_one,
                       check_finite, check_seed, payoff_arrays)
 
-REASON_DEGENERATE_DENOM = "baseline_equals_payoff_entry"
-REASON_NO_CHI = "no_chi_above_1"
-
 # Verification draws at most VERIFY_PASS opponents per pass, ~380 bytes each
 # at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
 VERIFY_PASS = 16384
@@ -271,12 +268,13 @@ def build_extortion_strategy(params: GameParams,
         else:
             phi = (phi_range[0] + phi_range[1]) / 2
     pv = build_payoffs(params)
-    x = (pv.u_p - ext.l1) - ext.chi * (pv.u_c - ext.l2)
     e2 = params.e2
-    p1 = phi * x[0] + 1
-    p2 = (phi * x[1] + 1 - e2 * p1) / (1 - e2)
-    p3 = phi * x[2]
-    p4 = (phi * x[3] - e2 * p3) / (1 - e2)
+    with np.errstate(all="ignore"):     # finite chi or phi near float max
+        x = (pv.u_p - ext.l1) - ext.chi * (pv.u_c - ext.l2)
+        p1 = phi * x[0] + 1
+        p2 = (phi * x[1] + 1 - e2 * p1) / (1 - e2)
+        p3 = phi * x[2]
+        p4 = (phi * x[3] - e2 * p3) / (1 - e2)
     p = (float(p1), float(p2), float(p3), float(p4))
     feasible = all(-BOUNDARY_TOL <= v <= 1 + BOUNDARY_TOL for v in p)
     lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, ext.l1, ext.l2, ext.phi_sign)

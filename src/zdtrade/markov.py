@@ -14,6 +14,23 @@ G is the collector's response probability forming next state w.  The
 expected long-run payoffs follow from the stationary distribution of M,
 and equivalently from a 4x4 determinant whose last column can be any
 payoff vector - the identity that makes zero-determinant strategies work.
+
+F depends on w only through the provider's action in w (C for CC/CD, D for
+DC/DD).  When the collector cooperated in v the observation is exact, so
+rows CC and DC use p1 and p3 directly; when he defected, the mask hides it
+with probability e2, mixing the g- and b-conditioned entries:
+
+    F(v=CC) = f(1)                    F(v=CD) = e2 f(1) + (1-e2) f(2)
+    F(v=DC) = f(3)                    F(v=DD) = e2 f(3) + (1-e2) f(4)
+
+with f(i) = p_i for action C and 1 - p_i for action D.  G depends on w
+only: a cooperating provider is observed exactly (columns CC, CD use q1),
+while a defecting one is seen as cooperative with probability 1 - e1, so
+columns DC, DD mix the two observation branches:
+
+    G(w=CC) = q1                      G(w=CD) = 1 - q1
+    G(w=DC) = (1-e1) q1 + e1 q2
+    G(w=DD) = (1-e1)(1-q1) + e1 (1-q2)
 """
 
 from __future__ import annotations
@@ -22,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import csv_text, plain, table
+from ._text import plain
 from .errors import InvalidParameterError, NonUniqueStationaryError
-from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
-                      check_unit_interval)
+from .payoffs import GameParams, StateIndex, build_payoffs, check_unit_interval
 
 # Tolerance on the sum of the diagonal 3x3 cofactors of I - M: the product of
 # its three nonzero eigenvalues, 0 when the chain has more than one closed
@@ -114,39 +130,6 @@ def _collector_factors(qs, e1: float) -> np.ndarray:
     return np.stack([q1, 1 - q1,
                      (1 - e1) * q1 + e1 * q2,
                      (1 - e1) * (1 - q1) + e1 * (1 - q2)], axis=1)
-
-
-def provider_transition_factor(v: StateIndex, p, e2: float, action: str) -> float:
-    """Probability that the provider plays `action` after previous state v.
-
-    When the collector cooperated in v the observation is exact, so rows
-    CC and DC use p1 and p3 directly; when he defected, the mask hides it
-    with probability e2, mixing the g- and b-conditioned entries:
-
-        F(v=CC) = f(1)                    F(v=CD) = e2 f(1) + (1-e2) f(2)
-        F(v=DC) = f(3)                    F(v=DD) = e2 f(3) + (1-e2) f(4)
-
-    with f(i) = p_i for action C and 1 - p_i for action D.
-    """
-    if action not in ("C", "D"):
-        raise InvalidParameterError(f"action must be 'C' or 'D', got {action!r}")
-    w = StateIndex.CC if action == "C" else StateIndex.DC
-    return float(_provider_factors(p, e2)[StateIndex(v), w])
-
-
-def collector_transition_factor(w: StateIndex, q, e1: float) -> float:
-    """Probability of the collector response that forms next state w.
-
-    A cooperating provider is observed exactly (columns CC, CD use q1);
-    a defecting provider is seen as cooperative with probability 1 - e1,
-    so columns DC, DD mix the two observation branches:
-
-        G(w=CC) = q1                      G(w=CD) = 1 - q1
-        G(w=DC) = (1-e1) q1 + e1 q2
-        G(w=DD) = (1-e1)(1-q1) + e1 (1-q2)
-    """
-    qs = _vector(CollectorStrategy, q)[None]
-    return float(_collector_factors(qs, e1)[0, StateIndex(w)])
 
 
 def build_transition_matrix(p, q, params: GameParams) -> np.ndarray:
@@ -282,7 +265,7 @@ def collector_zd_column(q, e1: float) -> np.ndarray:
     """The collector-controlled column: (0, 0, s - 1, s) with
     s = (1-e1) q1 + e1 q2, the probability the collector cooperates
     against a defecting provider."""
-    s = collector_transition_factor(StateIndex.DC, q, e1)
+    s = _collector_factors(_vector(CollectorStrategy, q)[None], e1)[0, StateIndex.DC]
     return np.array([0.0, 0.0, s - 1.0, s])
 
 
@@ -319,18 +302,3 @@ def zd_determinant(cols: ZdColumns, f) -> float:
     base = np.stack([cols.first_col, cols.p_hat, cols.q_hat], axis=1)
     return float(sum((-1) ** (r + 3) * f[r] * _minor3(base, rest, (0, 1, 2))
                      for r, rest in enumerate(_REST)))
-
-
-# --------------------------------------------------------------------------
-# Serialization helpers
-# --------------------------------------------------------------------------
-
-def matrix_to_csv(m) -> str:
-    """CSV with one row per previous state: header state,CC,CD,DC,DD."""
-    m = np.asarray(m, dtype=float)
-    return csv_text(["state"] + list(STATE_NAMES), [table(STATE_NAMES), *m.T])
-
-
-def matrix_to_json(m) -> list:
-    """Row-major nested lists, ready for json.dumps."""
-    return plain(np.asarray(m, dtype=float))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
 
 import numpy as np
 
@@ -81,18 +80,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    round_index: int
-    prev_state: StateIndex
-    provider_observation: str   # g | b, of the collector's previous action
-    provider_action: str        # C | D
-    collector_observation: str  # g | b, of the provider's current action
-    collector_action: str
-    provider_payoff: float
-    collector_payoff: float
-
-
-@dataclass(frozen=True)
 class Trace:
     """Column-oriented full trace of a run."""
 
@@ -106,19 +93,6 @@ class Trace:
 
     def __len__(self) -> int:
         return int(self.prev_state.size)
-
-    def records(self) -> Iterator[RoundRecord]:
-        for t in range(len(self)):
-            yield RoundRecord(
-                round_index=t + 1,
-                prev_state=StateIndex(int(self.prev_state[t])),
-                provider_observation="g" if self.provider_obs_g[t] else "b",
-                provider_action="C" if self.provider_coop[t] else "D",
-                collector_observation="g" if self.collector_obs_g[t] else "b",
-                collector_action="C" if self.collector_coop[t] else "D",
-                provider_payoff=float(self.u_p[t]),
-                collector_payoff=float(self.u_c[t]),
-            )
 
     def to_csv(self, out=None) -> str | None:
         """The CSV text, or None after writing it into the binary file
@@ -357,7 +331,7 @@ class ComparisonReport:
     z_s_p: float
     z_s_c: float
     max_abs_z: float
-    flagged: bool              # any |z| > 4
+    flagged: bool              # any |z| > 4, or a NaN z
 
     as_dict = plain
 
@@ -387,5 +361,5 @@ def compare_to_analytic(result: SimResult, p, q,
     max_abs = float(np.max(np.abs(finite)))
     return ComparisonReport(
         z_frequencies=zf, z_s_p=float(zp), z_s_c=float(zc),
-        max_abs_z=max_abs, flagged=bool(max_abs > 4.0),
+        max_abs_z=max_abs, flagged=not max_abs <= 4.0,   # NaN flags too
     )

@@ -342,6 +342,21 @@ def test_extort_infeasible_still_reports(tmp_path, capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extortion", [
+    {"l1": 1, "l2": 2, "chi": 1e308},
+    {"l1": 1, "l2": 2, "chi": 1.5, "phi": 1e308},
+])
+def test_extort_near_float_max_is_quietly_infeasible(tmp_path, capsys,
+                                                     extortion):
+    # the rows overflow to inf and NaN: no RuntimeWarning (an error under
+    # this suite's filterwarnings), a strict JSON artifact
+    cfg = write_config(tmp_path, extortion={**extortion, "trials": 100})
+    assert main(["extort", "--config", cfg, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+    assert payload["feasible"] is False and None in payload["p"]
+
+
 def test_check_collector_without_extortion_section(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_file = tmp_path / "certs.json"

@@ -1,18 +1,15 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
-                     NonUniqueStationaryError, ProviderStrategy, StateIndex,
+                     NonUniqueStationaryError, ProviderStrategy,
                      build_payoffs, build_transition_matrices,
-                     build_transition_matrix, collector_transition_factor,
-                     collector_zd_column, expected_payoffs,
-                     expected_payoffs_many, matrix_to_csv, matrix_to_json,
-                     provider_transition_factor, provider_zd_column,
-                     reducible_mask,
+                     build_transition_matrix, collector_zd_column,
+                     expected_payoffs, expected_payoffs_many,
+                     provider_zd_column, reducible_mask,
                      stationary_distribution, stationary_distributions,
                      zd_columns, zd_determinant)
 
@@ -22,43 +19,19 @@ from zdtrade.markov import (REDUCIBLE_TOL, _REST, _minor3, _reducible,
 from conftest import power_stationary, reference_matrix
 
 
-# --- transition factors ----------------------------------------------------
-
-def test_provider_factor_masked_defection():
-    p = ProviderStrategy(0.2, 0.4, 0.6, 0.8)
-    e2 = 0.3
-    got = provider_transition_factor(StateIndex.DD, p, e2, "D")
-    assert got == pytest.approx(e2 * (1 - 0.6) + (1 - e2) * (1 - 0.8), abs=1e-15)
-
-
-def test_provider_factor_exact_observation_rows():
-    p = ProviderStrategy(0.2, 0.4, 0.6, 0.8)
-    for e2 in (0.0, 0.37, 0.9):
-        assert provider_transition_factor(StateIndex.CC, p, e2, "C") == 0.2
-        assert provider_transition_factor(StateIndex.DC, p, e2, "C") == 0.6
-    # zero masking noise: defection always detected, row CD uses p2 alone
-    assert provider_transition_factor(StateIndex.CD, p, 0.0, "C") == pytest.approx(0.4)
-
-
-def test_collector_factor_cases():
-    q = CollectorStrategy(0.3, 0.7)
-    e1 = 0.25
-    assert collector_transition_factor(StateIndex.DD, q, e1) == pytest.approx(
-        (1 - e1) * (1 - 0.3) + e1 * (1 - 0.7), abs=1e-15)
-    for e1 in (0.0, 0.4, 1.0):
-        assert collector_transition_factor(StateIndex.CC, q, e1) == 0.3
-        assert collector_transition_factor(StateIndex.CD, q, e1) == pytest.approx(0.7)
-    assert collector_transition_factor(StateIndex.DC, q, 0.0) == pytest.approx(0.3)
-
-
 # --- matrix construction ---------------------------------------------------
+
+# the factor formulas' edge noise levels (no mask, exact and inverted data
+# noise) as (e1, e2), then 200 random pairs
+EDGE_NOISE = [(0.0, 0.0), (1.0, 0.0), (0.25, 0.0), (0.0, 0.37), (1.0, 0.9)]
+
 
 def test_matrix_matches_independent_entries():
     rng = np.random.default_rng(21)
-    for _ in range(200):
+    noise = EDGE_NOISE + [tuple(rng.random(2)) for _ in range(200)]
+    for e1, e2 in noise:
         p = rng.random(4)
         q = rng.random(2)
-        e1, e2 = rng.random(2)
         params = GameParams(5, 5, 2, 2, 3, 3, e1, e2)
         m = build_transition_matrix(p, q, params)
         np.testing.assert_allclose(m, reference_matrix(p, q, e1, e2), atol=1e-15)
@@ -142,10 +115,6 @@ def test_swap_q_with_full_noise_equals_no_noise_in_mixture_columns():
         m_swap = build_transition_matrix(p, q[::-1],
                                          GameParams(5, 5, 2, 2, 3, 3, 1.0, 0.4))
         np.testing.assert_allclose(m_zero[:, 2:], m_swap[:, 2:], atol=1e-15)
-        swapped = CollectorStrategy(q[1], q[0])
-        for w in (StateIndex.DC, StateIndex.DD):
-            assert collector_transition_factor(w, q, 0.0) == pytest.approx(
-                collector_transition_factor(w, swapped, 1.0), abs=1e-15)
 
 
 # --- stationary distribution ----------------------------------------------
@@ -457,7 +426,7 @@ def test_expected_payoffs_many_matches_scalar(base_params):
         assert sc[k] == pytest.approx(r.s_c, abs=1e-12)
 
 
-# --- strategy types and serialization ---------------------------------------
+# --- strategy types ---------------------------------------------------------
 
 def test_strategy_validation(base_params):
     with pytest.raises(InvalidParameterError):
@@ -469,15 +438,3 @@ def test_strategy_validation(base_params):
     for qs in ([[1.2, 0.5]], [[np.nan, 0.5]], [[0.5, np.inf]]):
         with pytest.raises(InvalidParameterError):
             reducible_mask((0.5, 0.5, 0.5, 0.5), qs, base_params)
-
-
-def test_matrix_csv_json(base_params):
-    m = build_transition_matrix((0.9, 0.78235, 0.07647, 0.1), (0.3, 0.7), base_params)
-    text = matrix_to_csv(m)
-    lines = text.strip().split("\n")
-    assert lines[0] == "state,CC,CD,DC,DD"
-    assert len(lines) == 5
-    assert lines[1].startswith("CC,0.27,")
-    as_json = matrix_to_json(m)
-    assert json.dumps(as_json)  # plain nested lists, serializable
-    np.testing.assert_allclose(np.array(as_json), m)

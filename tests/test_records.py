@@ -5,13 +5,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from zdtrade import (CollectorStrategy, ExtortionParams, ProviderStrategy,
                      SimConfig, build_extortion_strategy, build_payoffs,
                      check_collector_extortion, check_collector_pinning,
                      compare_to_analytic,
-                     expected_payoffs, matrix_to_json, play_rounds,
+                     expected_payoffs, play_rounds,
                      solve_pinning, validate_ordering,
                      verify_extortion_relation)
 from zdtrade._text import plain
@@ -38,6 +37,11 @@ def test_plain_rules():
     nested = {"x": [np.float32(0.5), (math.nan, "s", None)], "y": np.float64(2)}
     assert plain(nested, strict=True) == {"x": [0.5, [None, "s", None]], "y": 2.0}
     assert math.isnan(plain(nested)["x"][1][0])
+    m = np.array([[0.1, np.nan], [np.inf, -0.0]], dtype=np.float32)
+    out = plain(np.asarray(m, dtype=float))
+    assert [[type(x) for x in row] for row in out] == [[float] * 2] * 2
+    assert np.array_equal(out, [[float(x) for x in row] for row in m],
+                          equal_nan=True)
 
 
 def _records(base_params):
@@ -76,15 +80,3 @@ def test_as_dict_is_plain(base_params):
         assert list(r.as_dict()) == list(plain(r)) == [
             "p1", "p2", "p3", "p4", "a_const", "b_const", "d1_const",
             "pinned_s_c", "feasible", "reason"]
-
-
-@pytest.mark.parametrize("m", [
-    [[1, 2], [3, 4]],
-    np.array([[0.1, np.nan], [np.inf, -0.0]], dtype=np.float32),
-])
-def test_matrix_to_json_is_float_lists(m):
-    out = matrix_to_json(m)
-    ref = [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-    assert [[type(x) for x in row] for row in out] == [[float] * 2] * 2
-    assert np.array_equal(out, ref, equal_nan=True)
-

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -200,14 +200,12 @@ def test_trace_csv_and_records(mixed_config):
                         "collector_obs,collector_action,u_p,u_c")
     assert len(lines) == 1 + mixed_config.rounds
     assert lines[1].startswith("1,CC,g,")
-    records = trace.records()
-    first = next(records)
-    assert first.round_index == 1
-    assert first.prev_state == StateIndex.CC
-    assert first.provider_observation == "g"
+    assert trace.prev_state[0] == StateIndex.CC
+    assert trace.provider_obs_g[0]
     payoff = build_payoffs(mixed_config.params)
-    state = 2 * (first.provider_action == "D") + (first.collector_action == "D")
-    assert first.provider_payoff == payoff.u_p[state]
+    state = 2 * (not trace.provider_coop[0]) + (not trace.collector_coop[0])
+    assert trace.u_p[0] == payoff.u_p[state]
+    assert trace.u_c[0] == payoff.u_c[state]
 
 
 def test_trace_noise_rule_invariants(mixed_config):
@@ -410,6 +408,53 @@ def test_zero_standard_errors_give_infinite_z(base_params):
     strict = plain(report, strict=True)
     assert strict["z_frequencies"] == [None] * 4
     assert strict["z_s_p"] is None and strict["max_abs_z"] is None
+    # an overflowed payoff mean (c_p = 1e308) has a NaN error, so a NaN z
+    overflow = replace(result, s_p=np.inf, se_s_p=np.nan)
+    report = compare_to_analytic(overflow, p, q, base_params)
+    assert np.isnan(report.z_s_p) and np.isnan(report.max_abs_z)
+    assert report.flagged
+
+
+# --- the batch-means errors against the chain's exact CLT variance ---------
+
+def clt_sigma(m, v, f):
+    """Asymptotic sd of the mean of f(state) over a chain M with stationary
+    vector v, from Kemeny & Snell's fundamental matrix Z = (I - M + 1v)^-1:
+    sigma^2 = 2 v.(f~ o Z f~) - v.(f~ o f~), with f~ = f - v.f."""
+    ft = f - v @ f
+    z = np.linalg.inv(np.eye(4) - m + v)       # + v adds v to every row
+    return np.sqrt(2 * v @ (ft * (z @ ft)) - v @ (ft * ft))
+
+
+def test_standard_errors_match_the_exact_clt_variance(base_params):
+    # 40 seeded chains at 2e5 rounds: every reported error over sigma/sqrt(n)
+    # (s_p, s_c and the four frequencies).  Over seeds 0-8 of the chain draw
+    # those 240 ratios had sd 0.065-0.077, range 0.778-1.235 and mean
+    # 0.986-1.002 (100 batches alone give sd ~0.071); the band is 1 +- 6 x
+    # 0.078, and a doubled or a halved error leaves it.
+    payoff = build_payoffs(base_params)
+    rng = np.random.default_rng(0)
+    ratios = []
+    for seed in range(40):
+        p, q = rng.uniform(0.1, 0.9, 4), rng.uniform(0.1, 0.9, 2)
+        m = build_transition_matrix(p, q, base_params)
+        v = expected_payoffs(p, q, base_params).v
+        result = play_rounds(SimConfig(base_params, ProviderStrategy(*p),
+                                       CollectorStrategy(*q), rounds=200_000,
+                                       seed=seed))
+        for f, se in zip([payoff.u_p, payoff.u_c, *np.eye(4)],
+                         [result.se_s_p, result.se_s_c,
+                          *result.se_frequencies]):
+            sigma = clt_sigma(m, v, f)
+            # M has rank 2: autocovariances decay as lambda^(k-1) gamma_1
+            ft = f - v @ f
+            lam = np.trace(m) - 1
+            assert sigma ** 2 == pytest.approx(
+                v @ (ft * ft) + 2 * v @ (ft * (m @ ft)) / (1 - lam), rel=1e-9)
+            ratios.append(se / (sigma / np.sqrt(result.rounds_used)))
+    ratios = np.array(ratios)
+    assert np.all(np.abs(ratios - 1) < 6 * 0.078), (ratios.min(), ratios.max())
+    assert abs(ratios.mean() - 1) < 0.05
 
 
 # --- the byte functions, their composition and the statistics tail ----------

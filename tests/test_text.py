@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdtrade._text as text_mod
-from zdtrade import (ProviderStrategy, matrix_to_csv, scan_extortion_region,
+from zdtrade import (ProviderStrategy, scan_extortion_region,
                      scan_pinning_region)
 from zdtrade._text import csv_blocks, csv_text, table
 from zdtrade.markov import CollectorStrategy
@@ -132,7 +132,9 @@ def test_trace_matches_reference(base_params):
 ])
 def test_matrix_csv_matches_reference(m):
     rows = [[STATE_NAMES[i]] + [float(x) for x in m[i]] for i in range(4)]
-    assert matrix_to_csv(m) == ref_csv(["state"] + list(STATE_NAMES), rows)
+    assert csv_text(["state", *STATE_NAMES],
+                    [table(STATE_NAMES), *m.T]) == ref_csv(
+        ["state", *STATE_NAMES], rows)
 
 
 def _artifacts(params):
