@@ -34,12 +34,13 @@ from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
                       build_payoffs, check_count, check_e2_below_one,
                       check_finite, check_seed, payoff_arrays)
 
-# Verification draws at most VERIFY_PASS opponents per pass, ~380 bytes each
+# Verification draws at most VERIFY_PASS opponents per pass, ~155 bytes each
 # at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
 VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
-# The reducibility test's cofactor sum is affine in the opponent q, so a
-# strategy whose chain is reducible at these four corners is at every q.
+# The reducibility test's cofactor sum den = 1 - cc + dc is affine in the
+# opponent q (cc in q1, dc in s = (1-e1) q1 + e1 q2), so a strategy whose
+# chain is reducible at these four corners is at every q.
 _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 # A scan peaks at ~250 bytes per (e1, e2) cell, and its CSV, written block by

@@ -31,6 +31,23 @@ columns DC, DD mix the two observation branches:
     G(w=CC) = q1                      G(w=CD) = 1 - q1
     G(w=DC) = (1-e1) q1 + e1 q2
     G(w=DD) = (1-e1)(1-q1) + e1 (1-q2)
+
+So every row of M mixes the same two distributions: with a_v = F(v) for
+action C, g_C = (q1, 1-q1, 0, 0) and g_D = (0, 0, s, 1-s), s = G(w=DC),
+
+    M[v, .] = a_v g_C + (1 - a_v) g_D,
+
+and M has rank 2.  With cc = g_C . a and dc = g_D . a, the four diagonal 3x3
+cofactors of I - M are dc g_C + (1 - cc) g_D.  They sum to den = 1 - cc + dc,
+the product of the nonzero eigenvalues of I - M, so the stationary vector is
+
+    v = (dc g_C + (1 - cc) g_D) / den,
+
+the cofactors behind v . f proportional to det[c1, p_hat, q_hat, f] (Press
+& Dyson, PNAS 2012).  The batched engine (`irreducible_payoffs`,
+`reducible_mask`) evaluates this closed form and builds no matrix; the
+matrix-level `stationary_distribution(s)`, and `expected_payoffs` through
+it, serve general 4x4 chains by the cofactor test and a linear solve.
 """
 
 from __future__ import annotations
@@ -224,12 +241,28 @@ def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
     return StationaryResult(v, float(v @ pv.u_p), float(v @ pv.u_c))
 
 
+def _cofactors(p, qs, params: GameParams) -> np.ndarray:
+    """(n, 4): the diagonal 3x3 cofactors of I - M for one provider strategy
+    against each collector strategy of qs, dc g_C + (1 - cc) g_D in closed
+    form (module docstring); no matrix is built."""
+    a = _provider_factors(p, params.e2)[:, StateIndex.CC]
+    g = _collector_factors(qs, params.e1)
+    q1, s = g[:, StateIndex.CC], g[:, StateIndex.DC]
+    cc = q1 * a[0] + (1 - q1) * a[1]
+    dc = s * a[2] + (1 - s) * a[3]
+    return np.stack([dc * q1, dc * (1 - q1), (1 - cc) * s, (1 - cc) * (1 - s)],
+                    axis=1)
+
+
 def irreducible_payoffs(p, qs, params: GameParams):
-    """(reducible, s_p, s_c): each draw's chain built and tested once, and
-    the long-run payoffs of the irreducible ones in draw order."""
-    ms = build_transition_matrices(p, qs, params)
-    reducible = _reducible(ms)
-    vs = _solve(ms[~reducible] if reducible.any() else ms)  # copy only if needed
+    """(reducible, s_p, s_c): each draw's cofactors computed and tested once,
+    and the long-run payoffs of the irreducible ones in draw order."""
+    w = _cofactors(p, qs, params)
+    total = w.sum(axis=1, keepdims=True)
+    reducible = total[:, 0] < REDUCIBLE_TOL
+    if reducible.any():   # copy only if needed
+        w, total = w[~reducible], total[~reducible]
+    vs = w / total
     pv = build_payoffs(params)
     return reducible, vs @ pv.u_p, vs @ pv.u_c
 
@@ -244,7 +277,7 @@ def expected_payoffs_many(p, qs, params: GameParams):
 
 def reducible_mask(p, qs, params: GameParams) -> np.ndarray:
     """Boolean mask of collector strategies producing a reducible chain."""
-    return _reducible(build_transition_matrices(p, qs, params))
+    return _cofactors(p, qs, params).sum(axis=1) < REDUCIBLE_TOL
 
 
 # --------------------------------------------------------------------------

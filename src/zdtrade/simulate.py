@@ -339,8 +339,8 @@ class ComparisonReport:
 def _z(diff: float, se: float) -> float:
     if diff == 0.0:
         return 0.0
-    if se == 0.0:
-        return float("inf") if diff > 0 else float("-inf")
+    if se == 0.0:   # a NaN difference has no sign, so no infinite z
+        return np.copysign(np.inf, diff) if diff == diff else np.nan
     return diff / se
 
 

@@ -576,6 +576,25 @@ def test_non_finite_input_never_yields_a_scalar_verdict(l1, l2, chi, field,
 
 # --- verification passes ------------------------------------------------------------
 
+def test_verification_builds_no_matrix_and_runs_no_solve(base_params, monkeypatch):
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = build_extortion_strategy(base_params, ext)
+    want = verify_extortion_relation(sol, base_params, ext, trials=500, rng=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the batched engine built or solved a 4x4 chain")
+
+    for name in ("_solve", "_minor3", "build_transition_matrices",
+                 "build_transition_matrix"):
+        monkeypatch.setattr(markov, name, refuse)
+    assert verify_extortion_relation(sol, base_params, ext, trials=500,
+                                     rng=4) == want
+    # and the corner test of a strategy that pins every chain
+    with pytest.raises(InvalidParameterError, match="four corner opponents"):
+        verify_extortion_relation(_pinning_solution((1.0, 1.0, 0.0, 0.0)),
+                                  base_params, ext, trials=10, rng=0)
+
+
 def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
     ext = ExtortionParams(l1=1, l2=2, chi=1.5)
     sol = build_extortion_strategy(base_params, ext)
@@ -583,10 +602,14 @@ def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
     def flag(strategy, qs, params):   # a deterministic "reducible" subset
         return qs[:, 0] < 0.3
 
-    def flag_chains(ms):   # the same subset, read from M[CC, CC] = p1 q1
-        return ms[:, 0, 0] < sol.strategy.p1 * 0.3
+    cofactors = markov._cofactors
 
-    monkeypatch.setattr(markov, "_reducible", flag_chains)
+    def flag_chains(p, qs, params):   # the same subset: its cofactors zeroed
+        w = cofactors(p, qs, params)
+        w[qs[:, 0] < 0.3] = 0.0
+        return w
+
+    monkeypatch.setattr(markov, "_cofactors", flag_chains)
     monkeypatch.setattr(extortion, "VERIFY_PASS", 7)
     report = verify_extortion_relation(sol, base_params, ext, trials=100, rng=3)
     # one pass draws every remaining trial at once

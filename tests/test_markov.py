@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      stationary_distribution, stationary_distributions,
                      zd_columns, zd_determinant)
 
-from zdtrade.markov import (REDUCIBLE_TOL, _REST, _minor3, _reducible,
-                            irreducible_payoffs)
+from zdtrade.markov import (REDUCIBLE_TOL, _REST, _cofactors, _minor3,
+                            _reducible, irreducible_payoffs)
 
 from conftest import power_stationary, reference_matrix
 
@@ -199,21 +200,24 @@ CORNER_OR_INTERIOR = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95
 
 
 def assert_engine_matches_mask_filter_and_solve(p, qs, params):
-    """`irreducible_payoffs` bit for bit against reducible_mask, the filter
-    and a fresh build and solve of the kept draws (the batched payoffs as
-    they were computed before the engine), and against the strict call."""
+    """`irreducible_payoffs` against reducible_mask and the cofactor test of
+    the built stack (the same verdicts), a solve of the kept chains (within
+    the 1e-12 of the tree identities: the engine is a closed form, not the
+    solve) and bit for bit against the strict call."""
     reducible, s_p, s_c = irreducible_payoffs(p, qs, params)
     mask = reducible_mask(p, qs, params)
+    ms = build_transition_matrices(p, qs, params)
     assert reducible.dtype == bool and np.array_equal(reducible, mask)
-    vs = stationary_distributions(build_transition_matrices(p, qs[~mask], params))
+    assert np.array_equal(mask, _reducible(ms))
+    vs = stationary_distributions(ms[~mask])
     pv = build_payoffs(params)
     want_p, want_c = vs @ pv.u_p, vs @ pv.u_c
     assert s_p.shape == want_p.shape == (int((~mask).sum()),)
-    assert s_p.tobytes() == want_p.tobytes()
-    assert s_c.tobytes() == want_c.tobytes()
+    assert np.max(np.abs(s_p - want_p), initial=0.0) <= 1e-12
+    assert np.max(np.abs(s_c - want_c), initial=0.0) <= 1e-12
     strict_p, strict_c = expected_payoffs_many(p, qs[~mask], params)
-    assert strict_p.tobytes() == want_p.tobytes()
-    assert strict_c.tobytes() == want_c.tobytes()
+    assert strict_p.tobytes() == s_p.tobytes()
+    assert strict_c.tobytes() == s_c.tobytes()
     return reducible
 
 
@@ -314,6 +318,82 @@ def test_markov_chain_tree_identities(ms):
     nonzero = np.prod(eig[:, 1:], axis=1)
     assert np.max(np.abs(nonzero.imag) / total) <= 1e-12
     assert np.max(np.abs(nonzero.real - total) / total) <= 1e-12
+
+
+# --- the closed form ----------------------------------------------------------
+
+def rank_two_terms(p, q, e1, e2):
+    """(w, cc, dc): the closed-form cofactors dc g_C + (1 - cc) g_D and the
+    two mixing weights, written out from the factor formulas; exact when the
+    inputs are Fractions."""
+    p1, p2, p3, p4 = p
+    q1, q2 = q
+    a = (p1, e2 * p1 + (1 - e2) * p2, p3, e2 * p3 + (1 - e2) * p4)
+    s = (1 - e1) * q1 + e1 * q2
+    cc = q1 * a[0] + (1 - q1) * a[1]
+    dc = s * a[2] + (1 - s) * a[3]
+    return (dc * q1, dc * (1 - q1), (1 - cc) * s, (1 - cc) * (1 - s)), cc, dc
+
+
+def opponent_batches(values):
+    return dict(p=st.tuples(*[values] * 4),
+                qs=st.lists(st.tuples(values, values), min_size=1,
+                            max_size=64).map(np.array),
+                noise=st.tuples(values, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**opponent_batches(NEAR_CORNER))
+def test_closed_form_cofactors_are_the_diagonal_cofactors(p, qs, noise):
+    # I - M has entries in [-1, 1]: its cofactors to ~1e-15 of that scale
+    # (measured: 4e-16 on 40,000 interior and near-corner draws)
+    params = GameParams(5, 5, 2, 2, 3, 3, *noise)
+    w = _cofactors(p, qs, params)
+    cof = diagonal_cofactors(build_transition_matrices(p, qs, params))
+    assert np.max(np.abs(w - cof)) <= 1e-15
+    _, cc, dc = rank_two_terms(p, qs.T, *noise)
+    assert np.max(np.abs(w.sum(axis=1) - (1 - cc + dc))) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(**opponent_batches(INTERIOR))
+def test_closed_form_cofactors_relative_on_interior_chains(p, qs, noise):
+    params = GameParams(5, 5, 2, 2, 3, 3, *noise)
+    w = _cofactors(p, qs, params)
+    cof = diagonal_cofactors(build_transition_matrices(p, qs, params))
+    assert np.all(np.abs(w - cof).max(axis=1) <= 2e-15 * w.sum(axis=1))
+
+
+# Worst error of the batched payoffs against exact arithmetic, over the
+# payoff scale max |u|: 1.6e-15 on 40,000 draws of the rational points below
+# (the linear solve of `expected_payoffs`: 7.2e-16 on the same draws).
+EXACT_PAYOFF_TOL = 4e-15
+
+
+def test_engine_against_exact_payoffs_at_rational_points():
+    rng = np.random.default_rng(33)
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=8)))
+    dens = rng.integers(1, 65, (300, 8))
+    draws = np.concatenate([rng.integers(0, dens + 1) / dens, corners[::7]])
+    checked = 0
+    for d in draws:
+        params = GameParams(5, 5, 2, 2, 3, 3, *d[6:])
+        pv = build_payoffs(params)
+        x = [Fraction(t) for t in d]     # the exact values of the float inputs
+        w, _, _ = rank_two_terms(x[:4], x[4:6], *x[6:])
+        reducible, s_p, s_c = irreducible_payoffs(d[:4], d[None, 4:6], params)
+        assert reducible[0] == (sum(w) == 0)   # no rational chain near 1e-9
+        if reducible[0]:
+            continue
+        v = [wi / sum(w) for wi in w]
+        m = reference_matrix(x[:4], x[4:6], *x[6:])
+        assert list(np.array(v, dtype=object) @ m) == v   # stationary, exactly
+        scale = max(np.abs(pv.u_p).max(), np.abs(pv.u_c).max())
+        for got, u in ((s_p[0], pv.u_p), (s_c[0], pv.u_c)):
+            exact = sum(vi * Fraction(ui) for vi, ui in zip(v, u.tolist()))
+            assert abs(float(Fraction(got) - exact)) <= EXACT_PAYOFF_TOL * scale
+        checked += 1
+    assert checked >= 250
 
 
 # --- determinant form ------------------------------------------------------

@@ -413,6 +413,11 @@ def test_zero_standard_errors_give_infinite_z(base_params):
     report = compare_to_analytic(overflow, p, q, base_params)
     assert np.isnan(report.z_s_p) and np.isnan(report.max_abs_z)
     assert report.flagged
+    # a NaN difference over a zero error has no sign: its z is NaN
+    nan_mean = replace(result, s_p=np.nan)
+    report = compare_to_analytic(nan_mean, p, q, base_params)
+    assert np.isnan(report.z_s_p) and report.z_s_c == -np.inf
+    assert np.isnan(report.max_abs_z) and report.flagged
 
 
 # --- the batch-means errors against the chain's exact CLT variance ---------
