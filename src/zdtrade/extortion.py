@@ -43,9 +43,10 @@ MAX_TRIALS = 5_000_000
 # chain is reducible at these four corners is at every q.
 _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
-# A scan peaks at ~250 bytes per (e1, e2) cell, and its CSV, written block by
-# block, does not raise that peak (tracemalloc, 200^2 to 800^2 cells):
-# MAX_GRID_NUM points per axis keep one scan under ~1.9 GB.
+# A scan peaks at ~70 bytes per (e1, e2) cell, and its CSV, written block by
+# block, does not raise that peak from 400^2 cells up (tracemalloc, 400^2 to
+# 1600^2; at 200^2 the CSV's fixed block buffer lifts it to ~128):
+# MAX_GRID_NUM points per axis keep one scan under ~0.5 GB.
 MAX_GRID_NUM = 2700
 
 
@@ -106,16 +107,18 @@ def baseline_gap(u_c, l2, state) -> float:
 
 
 def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
-    """Ratio bounds (lower, upper) over (..., 4) payoffs, NaN where `flat`
-    (..., 2) marks a denominator u_c(state) - l2 within DENOM_TOL of 0."""
+    """Ratio bounds (lower, upper) from per-state payoffs (four broadcastable
+    entries each, see `payoff_arrays`), both NaN where `flat` marks a
+    denominator u_c(state) - l2 within DENOM_TOL of 0."""
     _check_phi_sign(phi_sign)
     states = _RATIO_STATES[phi_sign]
-    denom = u_c[..., states] - l2
-    flat = np.abs(denom) <= DENOM_TOL
+    denom = [u_c[s] - l2 for s in states]
+    flat = (np.abs(denom[0]) <= DENOM_TOL) | (np.abs(denom[1]) <= DENOM_TOL)
     with np.errstate(all="ignore"):
-        ratio = (u_p[..., states] - l1) / denom
-    ratio = np.where(flat.any(axis=-1, keepdims=True), np.nan, ratio)
-    return ratio[..., 0], ratio[..., 1], flat
+        lower, upper = (np.divide(u_p[s] - l1, d, where=~flat,
+                                  out=np.full(np.shape(flat), np.nan))
+                        for s, d in zip(states, denom))
+    return lower, upper, flat
 
 
 def chi_bounds(params: GameParams, l1: float, l2: float,
@@ -146,48 +149,67 @@ def _row_constraints(u_p, u_c, l1, l2, e2, phi_sign):
     Rows CC/DC constrain their own strategy entries directly; rows CD/DD
     constrain p2/p4 after removing the e2-weighted share of p1/p3, hence
     the mixed coefficients.  sign=-1 means 'must be <= 0' for phi > 0;
-    everything flips for phi < 0.  Returns alpha, beta (..., 4) and sign
-    (4,).  Raises for e2 = 1, where the mixed rows leave p2/p4 undetermined.
+    everything flips for phi < 0.  Returns alpha, beta and sign, one entry
+    per row in the order CC, CD, DC, DD, each row at the shape of the
+    payoffs it reads.  Raises for e2 = 1, where the mixed rows leave p2/p4
+    undetermined.
     """
     _check_phi_sign(phi_sign)
     check_e2_below_one(e2)
 
     def rows(x):  # CC, CD - e2 CC, DC, DD - e2 DC
-        return np.stack([x[..., 0], x[..., 1] - e2 * x[..., 0],
-                         x[..., 2], x[..., 3] - e2 * x[..., 2]], axis=-1)
-    return rows(u_p - l1), rows(u_c - l2), phi_sign * np.array([-1, -1, 1, 1])
+        return x[0], x[1] - e2 * x[0], x[2], x[3] - e2 * x[2]
+    return (rows([u - l1 for u in u_p]), rows([u - l2 for u in u_c]),
+            (-phi_sign, -phi_sign, phi_sign, phi_sign))
 
 
 def _chi_interval(alpha, beta, sign):
     """Exact chi interval (lower, upper, nonempty) per cell, NaN if empty.
     A row with beta != 0 caps chi from above when sign and beta agree and
-    from below otherwise; a row with beta == 0 holds for all chi or none."""
-    lo, hi = np.full(alpha.shape[:-1], -np.inf), np.full(alpha.shape[:-1], np.inf)
-    flat = beta == 0.0
-    caps = (sign > 0) == (beta > 0)
-    with np.errstate(all="ignore"):
-        bound = np.where(flat, np.nan, alpha / beta)   # NaN never wins min/max
-    for k in range(4):
-        hi = np.where(caps[..., k] & (bound[..., k] < hi), bound[..., k], hi)
-        lo = np.where(~caps[..., k] & (bound[..., k] > lo), bound[..., k], lo)
-    nonempty = ~((flat & (sign * alpha < 0)).any(axis=-1) | (lo > hi))
-    return (np.where(nonempty, lo, np.nan), np.where(nonempty, hi, np.nan),
-            nonempty)
+    from below otherwise; a row with beta == 0 holds for all chi or none.
+    Rows fold in order (strict comparisons keep the first of equal bounds,
+    so signed zeros match) into lo/hi, which grow by copy to the shape of
+    the rows folded so far."""
+    lo, hi, empty = np.array(-np.inf), np.array(np.inf), np.array(False)
+    for a, b, s in zip(alpha, beta, sign):
+        flat = b == 0.0
+        caps = (s > 0) == (b > 0)
+        with np.errstate(all="ignore"):   # NaN never wins min/max
+            bound = np.divide(a, b, out=np.full(np.shape(b), np.nan), where=~flat)
+        shape = np.broadcast_shapes(hi.shape, bound.shape)
+        if hi.shape != shape:
+            lo, hi, empty = (np.broadcast_to(x, shape).copy()
+                             for x in (lo, hi, empty))
+        np.copyto(hi, bound, where=caps & (bound < hi))
+        np.copyto(lo, bound, where=~caps & (bound > lo))
+        empty |= flat & (s * a < 0)
+    empty |= lo > hi
+    np.copyto(lo, np.nan, where=empty)
+    np.copyto(hi, np.nan, where=empty)
+    return lo, hi, ~empty
 
 
-def _phi_max(alpha, beta, sign, chi, e2):
-    """(phi_max, admissible) per cell at a fixed chi.  A row whose value
-    alpha - chi*beta has the wrong sign fails for every phi; a nonzero
-    value caps |phi| at its row's slack budget over |value| (mixed rows
-    CD, DD move p2/p4 by 1 - e2 per unit); phi_max is inf if none binds."""
-    phi_max = np.full(alpha.shape[:-1], np.inf)
+def _admissible(alpha, beta, sign, chi):
+    """True per cell where some phi of the rows' sign works at a fixed chi:
+    no row value alpha - chi*beta has the wrong sign."""
+    wrong = np.array(False)
     with np.errstate(all="ignore"):
-        value = alpha - chi * beta
-        for k, budget in enumerate((1.0, 1 - e2, 1.0, 1 - e2)):
-            v = value[..., k]
+        for a, b, s in zip(alpha, beta, sign):
+            wrong = wrong | (s * (a - chi * b) < 0)
+    return ~wrong
+
+
+def _phi_max(alpha, beta, chi, e2):
+    """Largest admissible |phi| per cell at a fixed chi: a nonzero row value
+    alpha - chi*beta caps |phi| at its row's slack budget over |value|
+    (mixed rows CD, DD move p2/p4 by 1 - e2 per unit); inf if none binds."""
+    phi_max = np.inf
+    with np.errstate(all="ignore"):
+        for a, b, budget in zip(alpha, beta, (1.0, 1 - e2, 1.0, 1 - e2)):
+            v = a - chi * b
             cap = budget / np.abs(v)
             phi_max = np.where((v != 0.0) & (cap < phi_max), cap, phi_max)
-    return phi_max, ~(sign * value < 0).any(axis=-1)
+    return phi_max
 
 
 def chi_feasible_interval(params: GameParams, l1: float, l2: float,
@@ -217,10 +239,11 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     """
     check_finite(l1=l1, l2=l2, chi=chi)
     pv = build_payoffs(params)
-    rows = _row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign)
-    phi_max, admissible = _phi_max(*rows, chi, params.e2)
-    if not admissible:
+    alpha, beta, sign = _row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2,
+                                         phi_sign)
+    if not _admissible(alpha, beta, sign, chi):
         return None
+    phi_max = _phi_max(alpha, beta, chi, params.e2)
     return (0.0, float(phi_max)) if phi_sign > 0 else (-float(phi_max), 0.0)
 
 
@@ -390,6 +413,12 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     whether that specific factor admits an admissible phi.  Cells match
     the scalar functions at their noise levels.  `jobs` is accepted for
     compatibility only: the output does not depend on it.
+
+    The evaluation follows the noise's rank structure: the CC, CD, DC and
+    DD payoffs and row constraints are a scalar, a (1, n2) row, an (n1, 1)
+    column and one (n1, n2) grid, each evaluated at its own shape; only the
+    chi-interval fold and the outputs are grid-sized (~70 bytes per cell at
+    peak, see MAX_GRID_NUM).
     """
     check_finite(l1=l1, l2=l2, chi_probe=chi_probe)
     e1_axis = np.asarray(e1_grid, dtype=float)
@@ -405,12 +434,15 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     u_p, u_c = payoff_arrays(params_base, e1_axis[:, None], e2)
     chi_lo, chi_hi, flat = _ratio_bounds(u_p, u_c, l1, l2, phi_sign)
     rows = _row_constraints(u_p, u_c, l1, l2, e2, phi_sign)
+    del u_p, u_c   # frees the DD payoff grids: only the rows are read on
     lo, hi, nonempty = _chi_interval(*rows)
     feasible = nonempty & (hi > 1)
-    code = np.where(flat.any(axis=-1), 1, np.where(feasible, 0, 2)).astype(np.int8)
+    code = np.full(feasible.shape, 2, np.int8)
+    np.copyto(code, 0, where=feasible)
+    np.copyto(code, 1, where=flat)
     probe = None if chi_probe is None else (
         feasible & (lo <= chi_probe) & (chi_probe <= hi) & (chi_probe > 1)
-        & _phi_max(*rows, chi_probe, e2)[1])
+        & _admissible(*rows, chi_probe))
     return ExtortionGrid(
         e1_axis=e1_axis, e2_axis=e2_axis, chi_lower=chi_lo, chi_upper=chi_hi,
         feasible=feasible, reason_code=code, probe_feasible=probe,

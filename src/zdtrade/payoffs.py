@@ -163,8 +163,11 @@ class PayoffVectors:
 
 
 def payoff_arrays(params: GameParams, e1, e2):
-    """The eight per-state payoff expressions, broadcast over e1 and e2, as
-    (u_p, u_c) of shape broadcast(e1, e2) + (4,):
+    """The eight per-state payoff expressions as (u_p, u_c), two tuples in
+    state order CC, CD, DC, DD.  The noise enters separably, so each entry
+    keeps the shape of the noise it reads: over e1[:, None] and e2[None, :]
+    CC is a scalar, CD a (1, n2) row, DC an (n1, 1) column and only DD the
+    full (n1, n2) grid.
 
     Provider:  u_p(CC) = c_p
                u_p(CD) = c_p - c_p1 + (1-e2) c_p2
@@ -175,18 +178,11 @@ def payoff_arrays(params: GameParams, e1, e2):
                u_c(DC) = (1-e1) c_c
                u_c(DD) = (1-e1) c_c + (1-e1) c_c1 - (1-e2) c_c2
     """
-    shape = np.broadcast_shapes(np.shape(e1), np.shape(e2)) + (4,)
-    u_p, u_c = np.empty(shape), np.empty(shape)
-    u_p[..., 0] = params.c_p
-    u_p[..., 1] = params.c_p - params.c_p1 + (1 - e2) * params.c_p2
-    u_p[..., 2] = (1 - e1) * params.c_p
-    u_p[..., 3] = ((1 - e1) * params.c_p - (1 - e1) * params.c_p1
-                   + (1 - e2) * params.c_p2)
-    u_c[..., 0] = params.c_c
-    u_c[..., 1] = params.c_c + params.c_c1 - (1 - e2) * params.c_c2
-    u_c[..., 2] = (1 - e1) * params.c_c
-    u_c[..., 3] = ((1 - e1) * params.c_c + (1 - e1) * params.c_c1
-                   - (1 - e2) * params.c_c2)
+    g, one1, one2 = params, 1 - e1, 1 - e2
+    u_p = (np.float64(g.c_p), g.c_p - g.c_p1 + one2 * g.c_p2, one1 * g.c_p,
+           one1 * g.c_p - one1 * g.c_p1 + one2 * g.c_p2)
+    u_c = (np.float64(g.c_c), g.c_c + g.c_c1 - one2 * g.c_c2, one1 * g.c_c,
+           one1 * g.c_c + one1 * g.c_c1 - one2 * g.c_c2)
     return u_p, u_c
 
 
@@ -194,7 +190,8 @@ def build_payoffs(params: GameParams) -> PayoffVectors:
     """Payoff 4-vectors at the game's own noise levels (see `payoff_arrays`)."""
     if not isinstance(params, GameParams):
         params = GameParams(*params)
-    return PayoffVectors(params, *payoff_arrays(params, params.e1, params.e2))
+    return PayoffVectors(params, *(np.array(u, dtype=float) for u in
+                                   payoff_arrays(params, params.e1, params.e2)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ with its trace and the trace's CSV written to a file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -176,9 +177,18 @@ def _gather(values: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _mean_se(values: np.ndarray, states: np.ndarray) -> tuple[float, float]:
     """Mean and batch-means standard error of the series values[states],
-    which lives only for this call."""
+    which lives only for this call.
+
+    Finite payoffs near float max overflow the sums; then both come from
+    the series scaled by the largest payoff magnitude, scaled back."""
     x = _gather(values, states)
-    return float(x.mean()), _batch_se(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = float(x.mean()), _batch_se(x)
+    if math.isfinite(mean) and math.isfinite(se) or not np.isfinite(values).all():
+        return mean, se
+    scale = float(np.abs(values).max())
+    x /= scale
+    return float(x.mean()) * scale, _batch_se(x) * scale
 
 
 @cache

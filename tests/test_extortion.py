@@ -534,6 +534,42 @@ def test_scan_matches_per_cell_loop_on_list_axes(base_params):
                                   [0.7, 0.1, 0.3], chi_probe=1.5)
 
 
+def test_scan_matches_per_cell_loop_with_signed_zero_lower_bound(base_params):
+    # l1 = c_p zeroes the CC ratio's numerator and l2 above u_c(CC) makes its
+    # denominator negative, so every phi > 0 chi_lower is -0.0: a broadcast
+    # to the grid by adding zeros would turn it into 0.0 (l2 also lies above
+    # every u_c(DD) here, so no cell's ratio degenerates to NaN)
+    axis = np.linspace(0, 0.9, 10)
+    grid = assert_scan_matches_reference(base_params, base_params.c_p, 7.5,
+                                         axis, axis, chi_probe=1.5)[0]
+    assert np.all(grid.chi_lower == 0) and np.all(np.signbit(grid.chi_lower))
+    rows = grid.to_csv().splitlines()[1:]
+    assert len(rows) == axis.size ** 2
+    assert all(row.split(",")[2] == "-0" for row in rows)
+
+
+# A 400^2 scan with chi_probe peaks at ~70 bytes per cell for either phi sign
+# (tracemalloc, numpy 2.4); the bound leaves ~30% headroom.  Payoffs or row
+# constraints stacked into (n1, n2, 4) arrays, as the scan once built them,
+# peak at ~250.
+SCAN_PEAK_BYTES_PER_CELL = 90
+
+
+@pytest.mark.parametrize("phi_sign", [1, -1])
+def test_scan_peak_memory_per_cell(base_params, phi_sign):
+    axis = np.linspace(0, 0.9, 400)
+    scan_extortion_region(base_params, 1, 2, axis[:2], axis[:2], phi_sign)
+    tracemalloc.start()
+    try:
+        grid = scan_extortion_region(base_params, 1, 2, axis, axis,
+                                     phi_sign=phi_sign, chi_probe=1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.chi_lower.shape == (axis.size, axis.size)
+    assert peak / axis.size ** 2 < SCAN_PEAK_BYTES_PER_CELL
+
+
 AXIS = st.lists(st.floats(0, 0.99), min_size=2, max_size=6)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 

@@ -408,7 +408,7 @@ def test_zero_standard_errors_give_infinite_z(base_params):
     strict = plain(report, strict=True)
     assert strict["z_frequencies"] == [None] * 4
     assert strict["z_s_p"] is None and strict["max_abs_z"] is None
-    # an overflowed payoff mean (c_p = 1e308) has a NaN error, so a NaN z
+    # an infinite payoff mean with a NaN error has a NaN z
     overflow = replace(result, s_p=np.inf, se_s_p=np.nan)
     report = compare_to_analytic(overflow, p, q, base_params)
     assert np.isnan(report.z_s_p) and np.isnan(report.max_abs_z)
@@ -418,6 +418,23 @@ def test_zero_standard_errors_give_infinite_z(base_params):
     report = compare_to_analytic(nan_mean, p, q, base_params)
     assert np.isnan(report.z_s_p) and report.z_s_c == -np.inf
     assert np.isnan(report.max_abs_z) and report.flagged
+
+
+def test_payoffs_near_float_max_give_finite_averages(recwarn):
+    # 1,000 payoffs near 1e308 overflow a plain sum; the averages are those
+    # of the same chain with every payoff scaled down by 1e308
+    p, q = ProviderStrategy(0.9, 0.78, 0.08, 0.1), CollectorStrategy(0.3, 0.7)
+    huge = GameParams(1e308, 1e308, 2, 2, 3, 3, 0.3, 0.5)
+    unit = GameParams(1, 1, 2e-300, 2e-300, 3e-300, 3e-300, 0.3, 0.5)
+    big, small = (play_rounds(SimConfig(g, p, q, rounds=1000, seed=1))
+                  for g in (huge, unit))
+    assert not recwarn.list
+    assert np.array_equal(big.state_frequencies, small.state_frequencies)
+    for name in ("s_p", "s_c", "se_s_p", "se_s_c"):
+        assert np.isfinite(getattr(big, name)), name
+        assert getattr(big, name) == pytest.approx(
+            1e308 * getattr(small, name), rel=1e-12), name
+    assert big.se_s_p > 0
 
 
 # --- the batch-means errors against the chain's exact CLT variance ---------
