@@ -215,7 +215,7 @@ def _cmd_pin(args, cfg, params):
 
 def _cmd_scan_pin(args, cfg, params):
     resolution = cfg.get("pinning", {}).get("resolution", 101)
-    grid = scan_pinning_region(params, resolution=resolution, jobs=args.jobs)
+    grid = scan_pinning_region(params, resolution=resolution)
     info = grid.summary()
     summary = (f"pinning scan {resolution}x{resolution}: "
                f"{info['feasible_cells']} of {info['cells']} cells feasible; "

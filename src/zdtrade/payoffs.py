@@ -188,8 +188,6 @@ def payoff_arrays(params: GameParams, e1, e2):
 
 def build_payoffs(params: GameParams) -> PayoffVectors:
     """Payoff 4-vectors at the game's own noise levels (see `payoff_arrays`)."""
-    if not isinstance(params, GameParams):
-        params = GameParams(*params)
     return PayoffVectors(params, *(np.array(u, dtype=float) for u in
                                    payoff_arrays(params, params.e1, params.e2)))
 

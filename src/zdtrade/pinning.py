@@ -224,14 +224,12 @@ class PinningGrid:
         }
 
 
-def scan_pinning_region(params: GameParams, resolution: int = 101,
-                        jobs: int = 1) -> PinningGrid:
+def scan_pinning_region(params: GameParams,
+                        resolution: int = 101) -> PinningGrid:
     """Evaluate solve_pinning over an inclusive uniform grid.
 
     Cells the solver would reject (the 0/0 corner) are marked infeasible
-    with a reason code instead of raising.  `jobs` is accepted for
-    compatibility only: the scan runs in one thread and its output does
-    not depend on it.
+    with a reason code instead of raising.
     """
     check_count("resolution", resolution, 2, MAX_RESOLUTION)
     u_c, a, b, d1 = _pinning_constants(params)

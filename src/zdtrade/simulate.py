@@ -25,8 +25,9 @@ comparisons make the round's draw code, and a 256-entry table turns the
 code into the byte.  Two rounds compose by one lookup in a 65,536-entry
 table, so the trajectory is a prefix composition (Blelloch 1990) of the
 run's bytes, folded in place: a run keeps one byte per round for its
-states and peaks at ~10 bytes per round (tracemalloc, 1e6 rounds), ~24
-with its trace and the trace's CSV written to a file.
+states and peaks at ~10 bytes per round (tracemalloc, 1e6 rounds), ~12
+with its trace (those states and two observation bytes per round) and the
+trace's CSV written to a file.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 
 from ._text import plain, table, write_csv
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
-from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
-                      check_count, check_seed)
+from .payoffs import (GameParams, PayoffVectors, STATE_NAMES, StateIndex,
+                      build_payoffs, check_count, check_seed)
 
 # Batches used for the batch-means standard errors (round averages of a
 # Markov chain are autocorrelated, so naive i.i.d. errors would lie).
@@ -55,10 +56,10 @@ _CHUNK = 128
 # state k.  This one maps every state to itself.
 _IDENTITY = 0b11100100
 
-# A run peaks at ~10 bytes per round without a trace and ~24 with
+# A run peaks at ~10 bytes per round without a trace and ~12 with
 # collect_trace and Trace.to_csv into a file (tracemalloc at 1e6 rounds;
-# ~20 and ~33 at 2e5, where the fixed block buffers weigh more): the
-# ceiling keeps one call under ~0.4 GB.
+# ~20 and ~22 at 2e5, where the fixed block buffers weigh more): the
+# ceiling keeps one call under ~0.2 GB.
 MAX_ROUNDS = 16_000_000
 
 
@@ -82,33 +83,37 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Column-oriented full trace of a run."""
+    """A run's trace.  `states` holds the entry state, then the state after
+    each round (rounds + 1 int8 StateIndex codes); `provider_obs_g` and
+    `collector_obs_g` tell whether each player saw the other's last action
+    as g.  The other five per-round columns are derived from the states on
+    each access.  Round t is index t - 1 of every per-round column."""
 
-    prev_state: np.ndarray          # int, StateIndex codes
+    states: np.ndarray              # int8, StateIndex codes
     provider_obs_g: np.ndarray      # bool
-    provider_coop: np.ndarray       # bool
     collector_obs_g: np.ndarray     # bool
-    collector_coop: np.ndarray      # bool
-    u_p: np.ndarray
-    u_c: np.ndarray
+    payoffs: PayoffVectors
+
+    prev_state = property(lambda self: self.states[:-1])
+    provider_coop = property(lambda self: self.states[1:] < 2)
+    collector_coop = property(lambda self: self.states[1:] % 2 == 0)
+    u_p = property(lambda self: _gather(self.payoffs.u_p, self.states[1:]))
+    u_c = property(lambda self: _gather(self.payoffs.u_c, self.states[1:]))
 
     def __len__(self) -> int:
-        return int(self.prev_state.size)
+        return int(self.provider_obs_g.size)
 
     def to_csv(self, out=None) -> str | None:
         """The CSV text, or None after writing it into the binary file
         `out` block by block."""
-        # u_p and u_c depend only on the state a round forms: each is a
-        # column of the four states' values, coded by that state
-        state = (~self.provider_coop).view(np.int8) * 2 + ~self.collector_coop
-        at = [int(np.argmax(state == s)) for s in range(4)] if len(self) else []
+        state = self.states[1:]
         return write_csv(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
             [range(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
-             table("bg", self.provider_obs_g), table("DC", self.provider_coop),
-             table("bg", self.collector_obs_g), table("DC", self.collector_coop),
-             table(self.u_p[at], state), table(self.u_c[at], state)],
+             table("bg", self.provider_obs_g), table("CCDD", state),
+             table("bg", self.collector_obs_g), table("CDCD", state),
+             table(self.payoffs.u_p, state), table(self.payoffs.u_c, state)],
             out)
 
 
@@ -321,16 +326,7 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
 
     provider_obs_g |= seq[:-1] % 2 == 0
     collector_obs_g |= realized < 2
-    trace = Trace(
-        prev_state=seq[:-1],
-        provider_obs_g=provider_obs_g,
-        provider_coop=realized < 2,
-        collector_obs_g=collector_obs_g,
-        collector_coop=realized % 2 == 0,
-        u_p=_gather(payoff.u_p, realized),
-        u_c=_gather(payoff.u_c, realized),
-    )
-    return result, trace
+    return result, Trace(seq, provider_obs_g, collector_obs_g, payoff)
 
 
 @dataclass(frozen=True)

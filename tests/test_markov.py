@@ -518,3 +518,11 @@ def test_strategy_validation(base_params):
     for qs in ([[1.2, 0.5]], [[np.nan, 0.5]], [[0.5, np.inf]]):
         with pytest.raises(InvalidParameterError):
             reducible_mask((0.5, 0.5, 0.5, 0.5), qs, base_params)
+    with pytest.raises(InvalidParameterError, match="2 probabilities"):
+        CollectorStrategy.from_vector([0.5])
+    with pytest.raises(InvalidParameterError,
+                       match=r"^qs must have shape \(n, 2\)$"):
+        reducible_mask((0.5, 0.5, 0.5, 0.5), [0.5, 0.5], base_params)
+    cols = zd_columns((0.5, 0.5, 0.5, 0.5), (0.5, 0.5), base_params)
+    with pytest.raises(InvalidParameterError, match="4-vector"):
+        zd_determinant(cols, [1, 2, 3])

@@ -1,12 +1,13 @@
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
                      NonUniqueStationaryError, ProviderStrategy, SimConfig,
-                     SimResult, StateIndex, Trace, build_payoffs,
+                     SimResult, StateIndex, build_payoffs,
                      build_transition_matrix, compare_to_analytic,
                      expected_payoffs, play_rounds, simulate, solve_pinning)
 from zdtrade._text import plain
@@ -285,7 +286,8 @@ def reference_play_rounds(config):
     )
     rows = np.arange(rounds)
     prev = seq[:-1]
-    trace = Trace(
+    # the seven per-round trace columns, by name
+    trace = SimpleNamespace(
         prev_state=prev.astype(np.int8),
         provider_obs_g=obs_g[rows, prev], provider_coop=x_coop[rows, prev],
         collector_obs_g=col_obs_g[rows, prev],
@@ -296,11 +298,14 @@ def reference_play_rounds(config):
 
 
 def assert_bit_equal(got, want):
-    for f in fields(want):
-        a = np.asarray(getattr(got, f.name))
-        b = np.asarray(getattr(want, f.name))
-        assert a.dtype == b.dtype and a.shape == b.shape, f.name
-        assert a.tobytes() == b.tobytes(), f.name
+    """got's attribute of each name in want (a dataclass's fields or a
+    namespace's columns) has want's dtype, shape and bytes."""
+    names = [f.name for f in fields(want)] if is_dataclass(want) else vars(want)
+    for name in names:
+        a = np.asarray(getattr(got, name))
+        b = np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def assert_matches_sequential(trace, config):
@@ -578,3 +583,22 @@ def test_peak_memory_per_round(base_params, tmp_path):
         tracemalloc.stop()
     assert bare < 12 * config.rounds
     assert traced < 29 * config.rounds
+
+
+def test_traced_peak_memory_per_round(base_params, tmp_path):
+    # a trace keeps the run's state bytes and two observation columns:
+    # ~12 B per round at 1e6 rounds with its CSV written to a file (~25 B
+    # when it stored all seven columns); 16 B leaves ~30% headroom
+    config = SimConfig(params=base_params, p=ProviderStrategy(0.8, 0.4, 0.6, 0.2),
+                       q=CollectorStrategy(0.7, 0.3), rounds=1_000_000, seed=2)
+    simulate._tables()          # built once per process
+    tracemalloc.start()
+    try:
+        result, trace = play_rounds(config, collect_trace=True)
+        with open(tmp_path / "trace.csv", "wb") as out:
+            trace.to_csv(out)
+        del result, trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * config.rounds
