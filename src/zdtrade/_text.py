@@ -10,10 +10,10 @@ they are.  Nothing depends on the locale, so reruns are byte-identical.
 
 `csv_blocks` renders BLOCK_ROWS rows at a time into one uint32 buffer,
 held transposed so that each word column is written by one contiguous
-`take`, and yields each block as bytes; `write_csv` writes the blocks into
-a binary file one at a time, so an artifact is never held whole, and
-`csv_text` is their joined string.  Every cell is a whole number of 4-byte
-words padded with the byte 0xFF, which UTF-8 never produces;
+`take`, and yields each block as bytes.  Each artifact's `to_csv(out)`
+writes the blocks into a binary file one at a time, so an artifact is never
+held whole; `csv_text` is their joined string.  Every cell is a whole
+number of 4-byte words padded with the byte 0xFF, which UTF-8 never produces;
 `bytes.translate` deletes the padding from the block.  Digits come from
 10^4-entry word tables (10^3 for the units word) that hold digits and
 padding only, leading and trailing zeros already padded, so a cell costs a
@@ -108,9 +108,9 @@ def _tables() -> dict:
     (10^3 for units words) * variant:
 
     mid    a 4-digit word of an integer part: [leading zeros padded,
-           all digits]
-    first  the leading word of an integer part of two or more words, below
-           100, so that bytes 0 and 1 (the `,` and the sign) stay free
+           all digits]; the leading word of an integer part of two or more
+           words is below 100 and takes the padded variant, so its bytes 0
+           and 1 (the `,` and the sign) stay free
     last   the units word, three digits and a free byte 3 (the point):
            [leading zeros padded, all digits]; a one-digit integer part is
            its padded variant alone
@@ -123,8 +123,8 @@ def _tables() -> dict:
     lead0 = np.where((v3 < 10 ** (2 - col[:3])) & (col[:3] < 2), _PAD, d3)
     units = [np.hstack([c, np.full((1000, 1), _PAD)]).astype(np.uint8)
              for c in (lead0, d3)]                  # lead0: 0 prints as "0"
-    return {"mid": _words(lead, d4), "first": _words(lead),
-            "last": _words(*units), "frac": _words(d4, trail)}
+    return {"mid": _words(lead, d4), "last": _words(*units),
+            "frac": _words(d4, trail)}
 
 
 def _int_lookups(i) -> list:
@@ -135,12 +135,10 @@ def _int_lookups(i) -> list:
     wide = int((i.max(initial=0) >= 10 ** np.array([1, 5, 9])).sum())
     rest = i // 1000
     out = [(tables["last"], i - rest * 1000 + 1000 * (rest > 0))]
-    for _ in range(wide - 1):
+    for _ in range(wide):
         high = rest // 10000
         out.append((tables["mid"], rest - high * 10000 + 10000 * (high > 0)))
         rest = high
-    if wide:
-        out.append((tables["first"], rest))
     return out[::-1]
 
 
@@ -360,12 +358,3 @@ def _block(cols: list, start: int, stop: int) -> bytes:
 def csv_text(header, columns) -> str:
     """The CSV of `csv_blocks` joined into one string."""
     return b"".join(csv_blocks(header, columns)).decode()
-
-
-def write_csv(header, columns, out=None) -> str | None:
-    """The CSV text of `columns`, or with a binary file `out`, None after
-    writing it there block by block."""
-    if out is None:
-        return csv_text(header, columns)
-    out.writelines(csv_blocks(header, columns))
-    return None

@@ -20,11 +20,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
-from ._text import fmt_float, plain, table, write_csv
+from ._text import csv_blocks, fmt_float, plain, table
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (BaselineDegenerateError, ConfigError,
                      DegenerateParameterError, InvalidParameterError,
@@ -408,8 +407,8 @@ def main(argv=None) -> int:
         else:
             keys, values = zip(*[(k, v) for k, v in csv if v is not None
                                  and not isinstance(v, (list, dict))])
-            write = partial(write_csv, ["key", "value"],
-                            [table(keys), table(values)])
+            write = lambda out: out.writelines(csv_blocks(  # noqa: E731
+                ["key", "value"], [table(keys), table(values)]))
         path = args.out or output.get("path")
         if path:
             _write(path, write)

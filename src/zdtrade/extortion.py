@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._text import grid_axes, plain, write_csv
+from ._text import csv_blocks, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
@@ -362,7 +362,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     return VerificationReport(trials, max_residual, discarded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtortionGrid:
     """Noise-space scan of chi bounds and feasibility, indexed [i_e1, i_e2]."""
 
@@ -379,13 +379,12 @@ class ExtortionGrid:
     def feasible_count(self) -> int:
         return int(self.feasible.sum())
 
-    def to_csv(self, out=None) -> str | None:
-        """The CSV text, or None after writing it into the binary file
-        `out` block by block."""
-        return write_csv(["e1", "e2", "chi_lower", "chi_upper", "feasible"],
-                         [*grid_axes(self.e1_axis, self.e2_axis),
-                          self.chi_lower.ravel(), self.chi_upper.ravel(),
-                          self.feasible.ravel()], out)
+    def to_csv(self, out) -> None:
+        """Write the CSV into the binary file `out` block by block."""
+        out.writelines(csv_blocks(
+            ["e1", "e2", "chi_lower", "chi_upper", "feasible"],
+            [*grid_axes(self.e1_axis, self.e2_axis), self.chi_lower.ravel(),
+             self.chi_upper.ravel(), self.feasible.ravel()]))
 
     def summary(self) -> dict:
         feas = self.feasible

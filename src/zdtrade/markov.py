@@ -222,7 +222,7 @@ def _solve(ms: np.ndarray) -> np.ndarray:
     return v / v.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryResult:
     """Stationary distribution with the long-run expected payoffs."""
 
@@ -302,7 +302,7 @@ def collector_zd_column(q, e1: float) -> np.ndarray:
     return np.array([0.0, 0.0, s - 1.0, s])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZdColumns:
     """First three columns of the transformed balance matrix M - I.
 

@@ -143,7 +143,7 @@ class GameParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffVectors:
     """Per-state payoff 4-vectors, indexed by StateIndex order.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import grid_axes, plain, write_csv
+from ._text import csv_blocks, grid_axes, plain
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
@@ -30,19 +30,9 @@ from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
 # under ~0.5 GB.
 MAX_RESOLUTION = 3000
 
-# Reasons attached to infeasible cells.
-REASON_P2_RANGE = "p2_out_of_range"
-REASON_P3_RANGE = "p3_out_of_range"
-REASON_P2_P3_RANGE = "p2_and_p3_out_of_range"
-REASON_CORNER = "pinned_value_undefined_at_p1_1_p4_0"
-
-_REASON_CODES = {
-    0: None,
-    1: REASON_P2_RANGE,
-    2: REASON_P3_RANGE,
-    3: REASON_P2_P3_RANGE,
-    4: REASON_CORNER,
-}
+# The reason attached to a cell, indexed by its reason code (0: feasible).
+_REASONS = (None, "p2_out_of_range", "p3_out_of_range",
+            "p2_and_p3_out_of_range", "pinned_value_undefined_at_p1_1_p4_0")
 
 
 def _pinning_constants(params: GameParams):
@@ -132,7 +122,7 @@ def solve_pinning(p1: float, p4: float, params: GameParams) -> PinningSolution:
     return PinningSolution(
         p1=float(p1), p4=float(p4), p2=float(p2), p3=float(p3),
         a_const=a, b_const=b, d1_const=d1, pinned_s_c=float(pinned),
-        feasible=bool(feasible), reason=_REASON_CODES[int(code)],
+        feasible=bool(feasible), reason=_REASONS[int(code)],
     )
 
 
@@ -180,7 +170,7 @@ def pinning_sensitivity_noise(p1: float, p4: float,
     return (ds_de1, ds_de2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinningGrid:
     """Uniform inclusive grid over (p1, p4) in [0, 1]^2 with the solved
     pinning data per cell.  2-D arrays are indexed [i_p1, i_p4]."""
@@ -201,15 +191,14 @@ class PinningGrid:
         return int(self.feasible.sum())
 
     def reason(self, i: int, j: int) -> str | None:
-        return _REASON_CODES[int(self.reason_code[i, j])]
+        return _REASONS[int(self.reason_code[i, j])]
 
-    def to_csv(self, out=None) -> str | None:
-        """The CSV text, or None after writing it into the binary file
-        `out` block by block."""
-        return write_csv(["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
-                         [*grid_axes(self.p1_axis, self.p4_axis),
-                          self.feasible.ravel(), self.p2.ravel(),
-                          self.p3.ravel(), self.pinned_s_c.ravel()], out)
+    def to_csv(self, out) -> None:
+        """Write the CSV into the binary file `out` block by block."""
+        out.writelines(csv_blocks(
+            ["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
+            [*grid_axes(self.p1_axis, self.p4_axis), self.feasible.ravel(),
+             self.p2.ravel(), self.p3.ravel(), self.pinned_s_c.ravel()]))
 
     def summary(self) -> dict:
         feas = self.feasible

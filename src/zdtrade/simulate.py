@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from ._text import plain, table, write_csv
+from ._text import csv_blocks, plain, table
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
 from .payoffs import (GameParams, PayoffVectors, STATE_NAMES, StateIndex,
                       build_payoffs, check_count, check_seed)
@@ -81,7 +81,7 @@ class SimConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """A run's trace.  `states` holds the entry state, then the state after
     each round (rounds + 1 int8 StateIndex codes); `provider_obs_g` and
@@ -103,21 +103,19 @@ class Trace:
     def __len__(self) -> int:
         return int(self.provider_obs_g.size)
 
-    def to_csv(self, out=None) -> str | None:
-        """The CSV text, or None after writing it into the binary file
-        `out` block by block."""
+    def to_csv(self, out) -> None:
+        """Write the CSV into the binary file `out` block by block."""
         state = self.states[1:]
-        return write_csv(
+        out.writelines(csv_blocks(
             ["round", "prev_state", "provider_obs", "provider_action",
              "collector_obs", "collector_action", "u_p", "u_c"],
             [range(1, len(self) + 1), table(STATE_NAMES, self.prev_state),
              table("bg", self.provider_obs_g), table("CCDD", state),
              table("bg", self.collector_obs_g), table("CDCD", state),
-             table(self.payoffs.u_p, state), table(self.payoffs.u_c, state)],
-            out)
+             table(self.payoffs.u_p, state), table(self.payoffs.u_c, state)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Post-burn-in averages with batch-means standard errors."""
 
@@ -329,7 +327,7 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
     return result, Trace(seq, provider_obs_g, collector_obs_g, payoff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """z-scores of a simulation against the closed-form stationary values."""
 

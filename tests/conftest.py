@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ def family_large():
     def make(e1, e2):
         return GameParams(10, 10, 2, 2, 5, 5, e1, e2)
     return make
+
+
+def csv_of(artifact) -> str:
+    """The CSV text that `artifact.to_csv` writes into a binary file."""
+    out = io.BytesIO()
+    artifact.to_csv(out)
+    return out.getvalue().decode()
 
 
 def power_stationary(m, iters=500_000, tol=1e-15):

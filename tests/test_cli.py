@@ -14,6 +14,8 @@ from zdtrade.markov import CollectorStrategy, ProviderStrategy
 from zdtrade.pinning import MAX_RESOLUTION, scan_pinning_region
 from zdtrade.simulate import SimConfig, play_rounds
 
+from conftest import csv_of
+
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -57,8 +59,14 @@ def test_missing_key_exit_2(tmp_path, capsys):
 
 def test_unknown_key_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, pinning={"p1": 0.5, "p4": 0.5, "bogus": 1})
-    assert main(["pin", "--config", cfg]) == 2
-    assert "bogus" in capsys.readouterr().err
+    raw = json.loads((tmp_path / "cfg.json").read_text())
+    raw["game"]["bogus"] = raw["pinning"].pop("bogus")
+    game_cfg = tmp_path / "game.json"
+    game_cfg.write_text(json.dumps(raw))
+    for path, section in [(cfg, "pinning"), (str(game_cfg), "game")]:
+        assert main(["pin", "--config", path]) == 2
+        assert (f"unknown keys in section '{section}': ['bogus']"
+                in capsys.readouterr().err)
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):
@@ -517,7 +525,29 @@ def test_streamed_artifact_bytes(tmp_path, capsysbinary, base_params,
     assert out.read_bytes() == capsysbinary.readouterr().out
     # the trace of simulate, the artifact itself of a scan
     written = trace if command == "simulate" else out
-    assert written.read_bytes() == streamed(base_params).to_csv().encode()
+    assert written.read_bytes() == csv_of(streamed(base_params)).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["payoffs", "pin", "extort",
+                                     "check-collector", "simulate"])
+def test_key_value_artifact_bytes(tmp_path, capsysbinary, command, fmt):
+    cfg = write_config(
+        tmp_path, pinning={"p1": 0.9, "p4": 0.1},
+        extortion={"l1": 1, "l2": 2, "chi": 1.5, "trials": 50},
+        simulation={"rounds": 2000, "seed": 7, "p": [0.9, 0.78, 0.08, 0.1],
+                    "q": [0.3, 0.7]})
+    out = tmp_path / f"artifact.{fmt}"
+    assert main([command, "--config", cfg, "--format", fmt,
+                 "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main([command, "--config", cfg, "--format", fmt]) == 0
+    data = capsysbinary.readouterr().out
+    assert data == out.read_bytes()
+    if fmt == "csv":
+        assert data.startswith(b"key,value\n")
+    else:
+        assert isinstance(json.loads(data), dict)
 
 
 # resolution 5 fails when the file is closed, 101 (~600 kB) on a write

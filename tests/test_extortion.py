@@ -18,6 +18,8 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
 from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, ExtortionGrid,
                                ExtortionSolution, VerificationReport)
 
+from conftest import csv_of
+
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
     """Independent brute-force oracle: solve the four rows over a (chi, phi)
@@ -367,13 +369,13 @@ def test_scan_negative_phi_branch(base_params):
 def test_scan_csv_format_and_jobs(base_params):
     grid = scan_extortion_region(base_params, 1, 2, np.linspace(0, 0.8, 5),
                                  np.linspace(0, 0.8, 4))
-    text = grid.to_csv()
+    text = csv_of(grid)
     lines = text.strip().split("\n")
     assert lines[0] == "e1,e2,chi_lower,chi_upper,feasible"
     assert len(lines) == 1 + 5 * 4
     threaded = scan_extortion_region(base_params, 1, 2, np.linspace(0, 0.8, 5),
                                      np.linspace(0, 0.8, 4), jobs=3)
-    assert threaded.to_csv() == text
+    assert csv_of(threaded) == text
 
 
 def test_scan_grid_validation(base_params):
@@ -474,7 +476,7 @@ def assert_scan_matches_reference(params, l1, l2, e1_axis, e2_axis,
                                      phi_sign=phi_sign, chi_probe=chi_probe)
         ref = reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign,
                              chi_probe)
-        assert grid.to_csv() == ref.to_csv()
+        assert csv_of(grid) == csv_of(ref)
         for name in ("chi_lower", "chi_upper"):
             assert np.array_equal(getattr(grid, name).view(np.int64),
                                   getattr(ref, name).view(np.int64)), name
@@ -543,7 +545,7 @@ def test_scan_matches_per_cell_loop_with_signed_zero_lower_bound(base_params):
     grid = assert_scan_matches_reference(base_params, base_params.c_p, 7.5,
                                          axis, axis, chi_probe=1.5)[0]
     assert np.all(grid.chi_lower == 0) and np.all(np.signbit(grid.chi_lower))
-    rows = grid.to_csv().splitlines()[1:]
+    rows = csv_of(grid).splitlines()[1:]
     assert len(rows) == axis.size ** 2
     assert all(row.split(",")[2] == "-0" for row in rows)
 

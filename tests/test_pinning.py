@@ -13,6 +13,8 @@ from zdtrade import (DegenerateParameterError, GameParams,
                      scan_pinning_region, solve_pinning)
 from zdtrade.pinning import MAX_RESOLUTION
 
+from conftest import csv_of
+
 
 def test_baseline_solution_values(base_params):
     sol = solve_pinning(0.9, 0.1, base_params)
@@ -264,7 +266,7 @@ def test_scan_refuses_resolution_above_ceiling_before_allocating(base_params,
 
 def test_scan_csv_and_summary(base_params):
     grid = scan_pinning_region(base_params, resolution=11)
-    text = grid.to_csv()
+    text = csv_of(grid)
     lines = text.strip().split("\n")
     assert lines[0] == "p1,p4,feasible,p2,p3,s_c_pinned"
     assert len(lines) == 1 + 11 * 11

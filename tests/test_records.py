@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zdtrade import (CollectorStrategy, ExtortionParams, ProviderStrategy,
-                     SimConfig, build_extortion_strategy, build_payoffs,
+from zdtrade import (CollectorStrategy, ComparisonReport, ExtortionGrid,
+                     ExtortionParams, GameParams, PayoffVectors, PinningGrid,
+                     ProviderStrategy, SimConfig, SimResult, StationaryResult,
+                     Trace, ZdColumns, build_extortion_strategy, build_payoffs,
                      check_collector_extortion, check_collector_pinning,
                      compare_to_analytic,
                      expected_payoffs, play_rounds,
@@ -80,3 +82,21 @@ def test_as_dict_is_plain(base_params):
         assert list(r.as_dict()) == list(plain(r)) == [
             "p1", "p2", "p3", "p4", "a_const", "b_const", "d1_const",
             "pinned_s_c", "feasible", "reason"]
+
+
+def test_array_records_compare_by_identity(base_params):
+    # a generated field-wise __eq__ would compare arrays and raise, and the
+    # generated __hash__ of a frozen record would hash them and raise
+    config = SimConfig(base_params, ProviderStrategy(0.6, 0.5, 0.4, 0.3),
+                       CollectorStrategy(0.5, 0.5), rounds=200, seed=3)
+    (r1, t1), (r2, t2) = (play_rounds(config, collect_trace=True)
+                          for _ in range(2))
+    assert r1 == r1 and t1 == t1 and t1.payoffs == t1.payoffs
+    assert r1 != r2 and t1 != t2 and t1.payoffs != t2.payoffs
+    assert len({hash(x) for x in (r1, t1, r2, t2)}) == 4
+    for cls in (PayoffVectors, StationaryResult, ZdColumns, Trace, SimResult,
+                ComparisonReport, PinningGrid, ExtortionGrid):
+        assert cls.__eq__ is object.__eq__, cls.__name__
+    same = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
+    assert base_params is not same
+    assert base_params == same and hash(base_params) == hash(same)

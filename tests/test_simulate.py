@@ -13,6 +13,8 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
 from zdtrade._text import plain
 from zdtrade.simulate import MAX_ROUNDS, _batch_se
 
+from conftest import csv_of
+
 
 def sequential_reference(config):
     """Straight-line re-implementation of the round loop, one scalar draw
@@ -66,7 +68,7 @@ def test_seed_determinism(mixed_config):
     np.testing.assert_array_equal(a.state_frequencies, b.state_frequencies)
     np.testing.assert_array_equal(trace_a.prev_state, trace_b.prev_state)
     np.testing.assert_array_equal(trace_a.provider_coop, trace_b.provider_coop)
-    assert trace_a.to_csv() == trace_b.to_csv()
+    assert csv_of(trace_a) == csv_of(trace_b)
     other = SimConfig(params=mixed_config.params, p=mixed_config.p,
                       q=mixed_config.q, rounds=3000, seed=100, burn_in=100)
     c = play_rounds(other)
@@ -195,7 +197,7 @@ def test_compare_propagates_reducible(base_params):
 
 def test_trace_csv_and_records(mixed_config):
     result, trace = play_rounds(mixed_config, collect_trace=True)
-    text = trace.to_csv()
+    text = csv_of(trace)
     lines = text.strip().split("\n")
     assert lines[0] == ("round,prev_state,provider_obs,provider_action,"
                         "collector_obs,collector_action,u_p,u_c")

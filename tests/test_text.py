@@ -16,6 +16,8 @@ from zdtrade.markov import CollectorStrategy
 from zdtrade.payoffs import STATE_NAMES
 from zdtrade.simulate import SimConfig, play_rounds
 
+from conftest import csv_of
+
 
 # Reference: one value at a time, as CSV artifacts were first written.
 def ref_value(x) -> str:
@@ -91,7 +93,7 @@ def test_pinning_grid_matches_reference(base_params):
              float(grid.pinned_s_c[i, j]))
             for i, p1 in enumerate(grid.p1_axis)
             for j, p4 in enumerate(grid.p4_axis))
-    assert grid.to_csv() == ref_csv(
+    assert csv_of(grid) == ref_csv(
         ["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"], rows)
 
 
@@ -105,7 +107,7 @@ def test_extortion_grid_with_degenerate_cells_matches_reference(base_params):
              float(grid.chi_upper[i, j]), bool(grid.feasible[i, j]))
             for i, e1 in enumerate(grid.e1_axis)
             for j, e2 in enumerate(grid.e2_axis))
-    assert grid.to_csv() == ref_csv(
+    assert csv_of(grid) == ref_csv(
         ["e1", "e2", "chi_lower", "chi_upper", "feasible"], rows)
 
 
@@ -121,7 +123,7 @@ def test_trace_matches_reference(base_params):
     rows = ((t + 1, STATE_NAMES[int(trace.prev_state[t])], ob[t], ac[t],
              cob[t], cac[t], float(trace.u_p[t]), float(trace.u_c[t]))
             for t in range(len(trace)))
-    assert trace.to_csv() == ref_csv(
+    assert csv_of(trace) == ref_csv(
         ["round", "prev_state", "provider_obs", "provider_action",
          "collector_obs", "collector_action", "u_p", "u_c"], rows)
 
@@ -163,12 +165,11 @@ def test_streamed_csv_is_the_text_encoded(base_params, monkeypatch,
                                           block_rows):
     artifacts = _artifacts(base_params)
     artifacts += [_empty(a) for a in artifacts]
-    expected = [a.to_csv() for a in artifacts]
+    expected = [csv_of(a) for a in artifacts]   # at the default BLOCK_ROWS
     monkeypatch.setattr(text_mod, "BLOCK_ROWS", block_rows)
     for artifact, text in zip(artifacts, expected):
         out = io.BytesIO()
         assert artifact.to_csv(out) is None
-        assert artifact.to_csv() == text
         assert out.getvalue() == text.encode()
     assert [t.count("\n") for t in expected] == [26] * 3 + [1] * 3
 
