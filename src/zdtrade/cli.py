@@ -9,6 +9,10 @@ by the command or not, so typos fail loudly.  A section set to null counts
 as absent.  Ranges, signs and finiteness are checked by the library.  JSON
 artifacts are strict JSON: an undefined (NaN) or infinite value is null.
 
+Options may come before or after the command (`getopt.gnu_getopt`).  A
+usage error is returned as exit code 2, with the usage text on stderr, not
+raised as SystemExit.
+
 Exit codes: 0 success, 2 config/usage error (also an artifact or trace file
 that cannot be written), 3 invalid or degenerate parameters (also a
 negative seed), 4 a scan produced an empty feasible set.
@@ -16,10 +20,11 @@ negative seed), 4 a scan produced an empty feasible set.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import getopt
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -352,45 +357,66 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH",
-                        help="JSON run configuration")
-    common.add_argument("--out", metavar="PATH",
-                        help="artifact file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="artifact format (default from config, else csv)")
-    common.add_argument("--seed", type=int,
-                        help="override the run seed")
-    common.add_argument("--strict-ordering", action="store_true",
-                        help="reject parameter sets violating any payoff "
-                             "ordering chain")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; scans run in one "
-                             "thread and output does not depend on it")
-    parser = argparse.ArgumentParser(
-        prog="zdtrade",
-        description="Zero-determinant strategy analysis for the noisy "
-                    "sequential data-trading game.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "payoffs": "print the per-state payoff table and ordering report",
-        "pin": "solve one pinning strategy at pinning.p1/p4",
-        "scan-pin": "scan the (p1, p4) square for feasible pinning cells",
-        "extort": "build (and optionally verify) an extortionate strategy",
-        "scan-extort": "scan noise space for feasible extortion factors",
-        "check-collector": "emit collector-side infeasibility certificates",
-        "simulate": "play the game round by round and compare to analytics",
-    }
-    for name, handler in _HANDLERS.items():
-        sub.add_parser(name, parents=[common], help=helps[name])
-    return parser
+_USAGE = """\
+usage: zdtrade COMMAND --config PATH [--out PATH] [--format csv|json]
+               [--seed N] [--strict-ordering] [--jobs N]
+"""
+_HELP = _USAGE + """
+Zero-determinant strategy analysis for the noisy sequential data-trading
+game.  Options may come before or after the command.  --out defaults to
+stdout, --format to the config's output.format, else csv; --seed overrides
+the run seed; --strict-ordering rejects parameter sets violating any payoff
+ordering chain; --jobs is accepted for compatibility and changes nothing.
+
+commands:
+  payoffs          print the per-state payoff table and ordering report
+  pin              solve one pinning strategy at pinning.p1/p4
+  scan-pin         scan the (p1, p4) square for feasible pinning cells
+  extort           build (and optionally verify) an extortionate strategy
+  scan-extort      scan noise space for feasible extortion factors
+  check-collector  emit collector-side infeasibility certificates
+  simulate         play the game round by round and compare to analytics
+"""
+_LONG = "help strict-ordering config= out= format= seed= jobs=".split()
+
+
+def _parse_args(argv):
+    """The command and options of argv, or None for -h/--help.  A usage
+    error raises getopt.GetoptError naming the offending token."""
+    opts, rest = getopt.gnu_getopt(argv, "h", _LONG)
+    if rest[1:]:    # POSIXLY_CORRECT stops gnu_getopt at the command
+        more, rest[1:] = getopt.gnu_getopt(rest[1:], "h", _LONG)
+        opts += more
+    given = {flag.lstrip("-"): value for flag, value in opts}  # the last wins
+    if {"h", "help"} & given.keys():
+        return None
+    if len(rest) != 1 or rest[0] not in _HANDLERS:
+        raise getopt.GetoptError(
+            f"expected one command of {', '.join(_HANDLERS)}, "
+            f"got {' '.join(map(repr, rest)) or 'none'}")
+    if "config" not in given:
+        raise getopt.GetoptError("--config is required")
+    if given.get("format", "csv") not in ("csv", "json"):
+        raise getopt.GetoptError(
+            f"--format must be csv or json, got {given['format']!r}")
+    for name in {"seed", "jobs"} & given.keys():
+        try:
+            given[name] = int(given[name])
+        except ValueError:
+            raise getopt.GetoptError(f"--{name} must be an integer, "
+                                     f"got {given[name]!r}") from None
+    return SimpleNamespace(
+        command=rest[0], config=given["config"], out=given.get("out"),
+        format=given.get("format"), seed=given.get("seed"),
+        jobs=given.get("jobs", 1), strict_ordering="strict-ordering" in given)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_HELP)
+            return 0
         cfg = _load_config(args.config)
         params = GameParams.from_mapping(
             _require(cfg, "game", *_SCHEMA["game"]))
@@ -422,6 +448,9 @@ def main(argv=None) -> int:
             except BrokenPipeError:
                 pass    # the reader stopped early, as `head` does: end quietly
         return code
+    except getopt.GetoptError as exc:
+        sys.stderr.write(f"{_USAGE}zdtrade: error: {exc.msg}\n")
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

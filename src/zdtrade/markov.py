@@ -48,6 +48,9 @@ the cofactors behind v . f proportional to det[c1, p_hat, q_hat, f] (Press
 `reducible_mask`) evaluates this closed form and builds no matrix; the
 matrix-level `stationary_distribution(s)`, and `expected_payoffs` through
 it, serve general 4x4 chains by the cofactor test and a linear solve.
+The engine divides the cofactors into a C-ordered `vs`, so that `vs @ u`
+makes the same BLAS call, with the same bits, whatever the cofactors'
+layout; a transposed `vs` or a 4-term dot would round differently.
 """
 
 from __future__ import annotations
@@ -135,18 +138,24 @@ def _provider_factors(p, e2: float) -> np.ndarray:
     return np.stack([coop, coop, defect, defect], axis=1)
 
 
-def _collector_factors(qs, e1: float) -> np.ndarray:
-    """G[k, w]: probability of collector k's response forming next state w."""
+def _draws(qs, e1: float):
+    """(q1, q2, s) of collector strategies qs, shape (n, 2), checked once, as
+    contiguous vectors; s = (1-e1) q1 + e1 q2 = G(w=DC)."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
         raise InvalidParameterError("qs must have shape (n, 2)")
     if not np.all(np.isfinite(qs) & (qs >= 0) & (qs <= 1)):
         raise InvalidParameterError(
             "collector strategies must be finite and lie in [0, 1]")
-    q1, q2 = qs[:, 0], qs[:, 1]
-    return np.stack([q1, 1 - q1,
-                     (1 - e1) * q1 + e1 * q2,
-                     (1 - e1) * (1 - q1) + e1 * (1 - q2)], axis=1)
+    q1, q2 = np.ascontiguousarray(qs.T)
+    return q1, q2, (1 - e1) * q1 + e1 * q2
+
+
+def _collector_factors(qs, e1: float) -> np.ndarray:
+    """G[k, w]: probability of collector k's response forming next state w."""
+    q1, q2, s = _draws(qs, e1)
+    return np.stack([q1, 1 - q1, s, (1 - e1) * (1 - q1) + e1 * (1 - q2)],
+                    axis=1)
 
 
 def build_transition_matrix(p, q, params: GameParams) -> np.ndarray:
@@ -244,14 +253,14 @@ def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
 def _cofactors(p, qs, params: GameParams) -> np.ndarray:
     """(n, 4): the diagonal 3x3 cofactors of I - M for one provider strategy
     against each collector strategy of qs, dc g_C + (1 - cc) g_D in closed
-    form (module docstring); no matrix is built."""
+    form (module docstring); no matrix is built.  The four cofactor rows are
+    built as one (4, n) array and returned transposed."""
     a = _provider_factors(p, params.e2)[:, StateIndex.CC]
-    g = _collector_factors(qs, params.e1)
-    q1, s = g[:, StateIndex.CC], g[:, StateIndex.DC]
+    q1, _, s = _draws(qs, params.e1)
     cc = q1 * a[0] + (1 - q1) * a[1]
     dc = s * a[2] + (1 - s) * a[3]
-    return np.stack([dc * q1, dc * (1 - q1), (1 - cc) * s, (1 - cc) * (1 - s)],
-                    axis=1)
+    return np.array([dc * q1, dc * (1 - q1), (1 - cc) * s,
+                     (1 - cc) * (1 - s)]).T
 
 
 def irreducible_payoffs(p, qs, params: GameParams):
@@ -262,7 +271,7 @@ def irreducible_payoffs(p, qs, params: GameParams):
     reducible = total[:, 0] < REDUCIBLE_TOL
     if reducible.any():   # copy only if needed
         w, total = w[~reducible], total[~reducible]
-    vs = w / total
+    vs = np.divide(w, total, order="C")
     pv = build_payoffs(params)
     return reducible, vs @ pv.u_p, vs @ pv.u_c
 
@@ -298,7 +307,7 @@ def collector_zd_column(q, e1: float) -> np.ndarray:
     """The collector-controlled column: (0, 0, s - 1, s) with
     s = (1-e1) q1 + e1 q2, the probability the collector cooperates
     against a defecting provider."""
-    s = _collector_factors(_vector(CollectorStrategy, q)[None], e1)[0, StateIndex.DC]
+    s = _draws(_vector(CollectorStrategy, q)[None], e1)[2][0]
     return np.array([0.0, 0.0, s - 1.0, s])
 
 

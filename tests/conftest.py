@@ -64,3 +64,27 @@ def reference_matrix(p, q, e1, e2):
          (e2 * (1 - p3) + (1 - e2) * (1 - p4)) * s,
          (e2 * (1 - p3) + (1 - e2) * (1 - p4)) * t],
     ])
+
+
+def reference_irreducible_payoffs(p, qs, params):
+    """The stacked (n, 4) evaluation of the closed-form cofactors that the
+    batched engine must reproduce bit for bit: the G stack, the cofactor
+    stack, w.sum(axis=1), w / total and vs @ u.  Returns (reducible, s_p,
+    s_c) as `markov.irreducible_payoffs` does."""
+    from zdtrade import build_payoffs
+    p1, p2, p3, p4 = np.asarray(p, dtype=float)
+    e1, e2 = params.e1, params.e2
+    a = (p1, e2 * p1 + (1 - e2) * p2, p3, e2 * p3 + (1 - e2) * p4)
+    q1, q2 = qs[:, 0], qs[:, 1]
+    g = np.stack([q1, 1 - q1, (1 - e1) * q1 + e1 * q2,
+                  (1 - e1) * (1 - q1) + e1 * (1 - q2)], axis=1)
+    q1, s = g[:, 0], g[:, 2]
+    cc = q1 * a[0] + (1 - q1) * a[1]
+    dc = s * a[2] + (1 - s) * a[3]
+    w = np.stack([dc * q1, dc * (1 - q1), (1 - cc) * s, (1 - cc) * (1 - s)],
+                 axis=1)
+    total = w.sum(axis=1, keepdims=True)
+    reducible = total[:, 0] < 1e-9
+    vs = w[~reducible] / total[~reducible]
+    pv = build_payoffs(params)
+    return reducible, vs @ pv.u_p, vs @ pv.u_c

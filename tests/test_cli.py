@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import zdtrade
+from zdtrade import cli
 from zdtrade.cli import _SCHEMA, main
 from zdtrade.extortion import MAX_GRID_NUM, scan_extortion_region
 from zdtrade.markov import CollectorStrategy, ProviderStrategy
@@ -608,3 +609,77 @@ def test_closed_pipe_ends_quietly(tmp_path):
     assert proc.wait() == 0
     assert "Traceback" not in err and "Error" not in err
     assert err.startswith("pinning scan 301x301: ")
+
+
+# --- front end ----------------------------------------------------------
+
+@pytest.mark.parametrize("argv, token", [
+    (["payoffs", "--config", "CFG", "--bogus"], "--bogus"),
+    (["payoffs"], "--config"),
+    (["payoffs", "--config"], "--config"),
+    (["bogus", "--config", "CFG"], "'bogus'"),
+    (["--config", "CFG"], "got none"),
+    (["payoffs", "extra", "--config", "CFG"], "'extra'"),
+    (["payoffs", "--config", "CFG", "--format", "xml"], "'xml'"),
+    (["payoffs", "--config", "CFG", "--seed", "abc"], "--seed"),
+    (["payoffs", "--config", "CFG", "--jobs", "x"], "--jobs"),
+    (["payoffs", "--config", "CFG", "--strict-ordering=1"], "--strict-ordering"),
+])
+def test_usage_error_returns_2(tmp_path, capsys, argv, token):
+    cfg = write_config(tmp_path)
+    assert main([cfg if a == "CFG" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: zdtrade COMMAND --config PATH")
+    assert token in out.err.splitlines()[-1]
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(capsys, flag):
+    assert main([flag]) == 0
+    assert main(["scan-pin", flag]) == 0   # with a command, and no --config
+    out = capsys.readouterr()
+    assert out.err == "" and out.out == cli._HELP * 2
+    commands = cli._HELP.split("\ncommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in commands] == list(cli._HANDLERS)
+
+
+def test_option_spellings_give_the_same_artifact(tmp_path, capsys):
+    cfg = write_config(tmp_path,
+                       extortion={"l1": 1, "l2": 2, "chi": 1.5, "trials": 50})
+    spellings = [
+        ["extort", "--config", cfg, "--format", "json", "--seed", "5"],
+        ["extort", f"--config={cfg}", "--format=json", "--seed=5"],
+        ["--config", cfg, "--format", "json", "--seed", "5", "extort"],
+        ["--seed=5", "--format", "json", "extort", "--config", cfg],
+    ]
+    artifacts = []
+    for k, argv in enumerate(spellings):
+        out = tmp_path / f"ext{k}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    assert b'"verification"' in artifacts[0]
+    assert artifacts == artifacts[:1] * len(spellings)
+
+
+def test_options_after_the_command_under_posixly_correct(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "payoffs.json"
+    assert main(["payoffs", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payoffs"]["u_p"] == [5, 4.5, 3.5, 3.6]
+
+
+def test_front_end_imports_no_argparse(tmp_path):
+    cfg = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(zdtrade.__file__))
+    code = ("import sys, zdtrade.cli as cli; "
+            f"code = cli.main(['payoffs', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'payoffs.csv')!r}]); "
+            "print(code, 'argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

@@ -17,7 +17,8 @@ from zdtrade import (CollectorStrategy, GameParams, InvalidParameterError,
 from zdtrade.markov import (REDUCIBLE_TOL, _REST, _cofactors, _minor3,
                             _reducible, irreducible_payoffs)
 
-from conftest import power_stationary, reference_matrix
+from conftest import (power_stationary, reference_irreducible_payoffs,
+                      reference_matrix)
 
 
 # --- matrix construction ---------------------------------------------------
@@ -362,6 +363,31 @@ def test_closed_form_cofactors_relative_on_interior_chains(p, qs, noise):
     w = _cofactors(p, qs, params)
     cof = diagonal_cofactors(build_transition_matrices(p, qs, params))
     assert np.all(np.abs(w - cof).max(axis=1) <= 2e-15 * w.sum(axis=1))
+
+
+def corners(rng, shape, share):
+    """Uniform draws with about `share` of the entries set to 0 or 1."""
+    x = rng.random(shape)
+    return np.where(rng.random(shape) < share, rng.integers(0, 2, shape), x)
+
+
+def test_engine_matches_stacked_evaluation_bit_for_bit():
+    # the verification artifacts print full reprs of these values; 87,072
+    # draws, 2,897 of them reducible
+    rng = np.random.default_rng(8)
+    reducible_seen = 0
+    for case in range(60):
+        n = int(rng.integers(1, 3000))
+        noise, p, qs = (corners(rng, shape, share) for shape, share in
+                        [(2, 0.5), (4, 0.6), ((n, 2), 0.3)])
+        params = GameParams(*(rng.random(6) * 9 + 1), *noise)
+        want = reference_irreducible_payoffs(p, qs, params)
+        got = irreducible_payoffs(p, qs, params)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert np.array_equal(reducible_mask(p, qs, params), want[0])
+        reducible_seen += int(want[0].sum())
+    assert reducible_seen > 0
 
 
 # Worst error of the batched payoffs against exact arithmetic, over the
