@@ -29,13 +29,16 @@ import numpy as np
 
 from ._text import csv_blocks, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
-from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
+from .markov import (ProviderStrategy, Workspace, irreducible_payoffs,
+                     reducible_mask)
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
                       build_payoffs, check_count, check_e2_below_one,
                       check_finite, check_seed, payoff_arrays)
 
-# Verification draws at most VERIFY_PASS opponents per pass, ~155 bytes each
-# at peak (tracemalloc): memory is O(pass); the ceiling bounds run time.
+# Verification draws at most VERIFY_PASS opponents per pass into one draw
+# buffer and one markov.Workspace, both made once per call: ~103 bytes per
+# pass opponent at peak (tracemalloc, 1e5 trials), so memory is O(pass) and
+# flat in trials; the ceiling bounds run time.
 VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
 # The reducibility test's cofactor sum den = 1 - cc + dc is affine in the
@@ -341,12 +344,17 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     discarded = 0
     remaining = trials
     corners_checked = False
+    draws = np.empty((min(trials, VERIFY_PASS), 2))
+    work = Workspace()
     while remaining > 0:
-        qs = rng.random((min(remaining, VERIFY_PASS), 2))
-        bad, s_p, s_c = irreducible_payoffs(strategy, qs, params)
+        qs = rng.random(out=draws[:min(remaining, VERIFY_PASS)])
+        bad, s_p, s_c = irreducible_payoffs(strategy, qs, params, work)
         discarded += int(bad.sum())
-        residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
-        max_residual = float(np.max(residual, initial=max_residual))
+        s_p -= ext.l1   # |(s_p - l1) - chi (s_c - l2)|, in place
+        s_c -= ext.l2
+        s_c *= ext.chi
+        s_p -= s_c
+        max_residual = float(np.max(np.abs(s_p, out=s_p), initial=max_residual))
         remaining -= s_p.size
         if not s_p.size and not corners_checked:
             corners_checked = True

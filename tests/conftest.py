@@ -88,3 +88,22 @@ def reference_irreducible_payoffs(p, qs, params):
     vs = w[~reducible] / total[~reducible]
     pv = build_payoffs(params)
     return reducible, vs @ pv.u_p, vs @ pv.u_c
+
+
+def reference_verification(sol, params, ext, trials, seed, pass_size):
+    """The allocate-per-pass verification loop that `verify_extortion_relation`
+    must reproduce bit for bit: every pass draws a fresh (k, 2) array, runs
+    the stacked `reference_irreducible_payoffs` and builds a fresh residual.
+    Returns a VerificationReport."""
+    from zdtrade.extortion import VerificationReport
+    rng = np.random.default_rng(seed)
+    max_residual, discarded, remaining = 0.0, 0, trials
+    while remaining > 0:
+        qs = rng.random((min(remaining, pass_size), 2))
+        bad, s_p, s_c = reference_irreducible_payoffs(sol.strategy.vector, qs,
+                                                      params)
+        discarded += int(bad.sum())
+        residual = np.abs((s_p - ext.l1) - ext.chi * (s_c - ext.l2))
+        max_residual = float(np.max(residual, initial=max_residual))
+        remaining -= s_p.size
+    return VerificationReport(trials, max_residual, discarded)

@@ -15,10 +15,13 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      expected_payoffs_many, phi_feasible_interval,
                      reducible_mask, scan_extortion_region,
                      verify_extortion_relation)
-from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, ExtortionGrid,
-                               ExtortionSolution, VerificationReport)
+from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, VERIFY_PASS,
+                               ExtortionGrid, ExtortionSolution,
+                               VerificationReport)
+from zdtrade.markov import Workspace, irreducible_payoffs
 
-from conftest import csv_of
+from conftest import (csv_of, reference_irreducible_payoffs,
+                      reference_verification)
 
 
 def lattice_feasible(u_p, u_c, l1, l2, e2, chis, phis, tol=1e-12):
@@ -642,8 +645,8 @@ def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
 
     cofactors = markov._cofactors
 
-    def flag_chains(p, qs, params):   # the same subset: its cofactors zeroed
-        w = cofactors(p, qs, params)
+    def flag_chains(p, qs, params, work=None):   # the same subset, zeroed
+        w = cofactors(p, qs, params, work)
         w[qs[:, 0] < 0.3] = 0.0
         return w
 
@@ -665,3 +668,55 @@ def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
             remaining -= qs.shape[0]
     assert discarded > 0
     assert report == VerificationReport(100, max_residual, discarded)
+
+
+@pytest.mark.parametrize("pass_size", [7, VERIFY_PASS])
+@pytest.mark.parametrize("trials", [100, VERIFY_PASS + 5])
+@pytest.mark.parametrize("p", [None, (1.0, 1.0, 0.0, 4e-9)],
+                         ids=["extortionate", "half-reducible"])
+def test_workspace_passes_match_allocating_loop(base_params, monkeypatch,
+                                                pass_size, trials, p):
+    # trials leave a short last pass at either pass size; p = (1, 1, 0, 4e-9)
+    # makes the chain reducible wherever s > 0.5 (about half the draws), so
+    # passes in the middle drop draws and the next pass reuses the buffers
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = (build_extortion_strategy(base_params, ext) if p is None
+           else _pinning_solution(p))
+    monkeypatch.setattr(extortion, "VERIFY_PASS", pass_size)
+    report = verify_extortion_relation(sol, base_params, ext, trials=trials,
+                                       rng=9)
+    assert report == reference_verification(sol, base_params, ext, trials, 9,
+                                            pass_size)
+    assert (report.discarded > 0) == (p is not None)
+
+
+def test_engine_writes_into_a_reused_workspace(base_params):
+    p = (1.0, 1.0, 0.0, 0.5)   # reducible at q = (1, 1): cc = 1, dc = 0
+    rng = np.random.default_rng(8)
+    work = Workspace()
+    for n in (50, 20, 50, 3, 80):
+        qs = rng.random((n, 2))
+        qs[::4] = 1.0
+        reducible, s_p, s_c = irreducible_payoffs(p, qs, base_params, work)
+        block = work.rows(n)
+        assert np.shares_memory(s_p, block) and np.shares_memory(s_c, block)
+        want = reference_irreducible_payoffs(p, qs, base_params)
+        assert reducible.sum() == len(range(0, n, 4))
+        for got, ref in zip((reducible, s_p, s_c), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_verification_peak_memory_per_pass_opponent(base_params):
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = build_extortion_strategy(base_params, ext)
+    verify_extortion_relation(sol, base_params, ext, trials=1000, rng=0)
+    tracemalloc.start()
+    try:
+        verify_extortion_relation(sol, base_params, ext, trials=100_000, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one workspace (80 B) and one draw buffer (16 B) per pass opponent,
+    # plus the reducible mask and the draw check's temporaries
+    assert peak / VERIFY_PASS < 120

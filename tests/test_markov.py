@@ -552,3 +552,19 @@ def test_strategy_validation(base_params):
     cols = zd_columns((0.5, 0.5, 0.5, 0.5), (0.5, 0.5), base_params)
     with pytest.raises(InvalidParameterError, match="4-vector"):
         zd_determinant(cols, [1, 2, 3])
+
+
+@pytest.mark.parametrize("x, valid", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (-0.0, True),
+    (1.0, True), (np.nextafter(1.0, 2.0), False)])
+def test_draw_check_verdicts(base_params, x, valid):
+    for qs in ([[x, 0.5]], [[0.5, x]]):
+        if valid:
+            irreducible_payoffs((0.5, 0.5, 0.5, 0.5), qs, base_params)
+            build_transition_matrices((0.5, 0.5, 0.5, 0.5), qs, base_params)
+            continue
+        for call in (irreducible_payoffs, build_transition_matrices):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^collector strategies must be finite "
+                                     r"and lie in \[0, 1\]$"):
+                call((0.5, 0.5, 0.5, 0.5), qs, base_params)
