@@ -21,8 +21,9 @@ few table lookups, not per-byte work.  Every other byte is a mark XORed
 into a pad byte that the tables leave free: the row's line break or the `,`
 into byte 0 of every cell, the `-` into byte 1 of a number's first word and
 the `.` into byte 3 of its units word.  Booleans and `table` and
-`grid_axes` columns are coded: each distinct cell is rendered once and
-taken by code; a `range` column is made an array a block at a time.
+`grid_axes` columns are coded: each distinct cell is rendered once, into
+word tables built once per column, and taken by code; a `range` column is
+made an array a block at a time.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -31,7 +32,11 @@ half-integer is a float; m is the correctly rounded significand unless the
 product is exactly a half-integer, where the exact value may lie on either
 side.  Such ties, products outside [1e11, 1e12], a carry to 1e12 at X = 11
 and non-finite values are formatted one by one with `%.12g`, as are
-integers of 14 or more digits and cells of other kinds.
+integers of 14 or more digits and cells of other kinds.  The float
+kernel reuses its own temporaries and has two fast paths: a block with no
+fallback cell skips the fallback pass, and a block whose integer parts are
+all below 10 takes its units words straight from the `last` table (from 10
+up, the units word fills byte 1, so a leading word must hold the sign).
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ def plain(obj, strict: bool = False):
 
 
 def _digits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, ASCII digits) of 0..10^n - 1: shapes (10^n, 1), (10^n, n)."""
-    v = np.arange(10 ** n)[:, None]
-    return v, (v // 10 ** np.arange(n - 1, -1, -1) % 10 + 48).astype(np.uint8)
+    """(values, ASCII digits) of 0..10^n - 1: shapes (10^n, 1), (10^n, n).
+    Digit j of every value is the index grid of n axes of ten, at axis j."""
+    digits = np.indices((10,) * n, np.uint8).reshape(n, -1).T
+    return np.arange(10 ** n)[:, None], digits + np.uint8(48)
 
 
 def _words(*cells: np.ndarray) -> np.ndarray:
@@ -133,6 +139,8 @@ def _int_lookups(i) -> list:
     and the sign; the last lookup is the units word."""
     tables = _tables()
     wide = int((i.max(initial=0) >= 10 ** np.array([1, 5, 9])).sum())
+    if not wide:                    # every i < 10: the units word alone
+        return [(tables["last"], i)]
     rest = i // 1000
     out = [(tables["last"], i - rest * 1000 + 1000 * (rest > 0))]
     for _ in range(wide):
@@ -157,30 +165,42 @@ def _frac_lookups(g, n: int) -> list:
 
 def _float_cells(x: np.ndarray):
     """(word lookups, fallback rows, fallback texts, marks) of a float
-    block."""
+    block.  Each step writes into a temporary of an earlier one that it no
+    longer needs; a block with no fallback cell skips the fallback pass."""
     with np.errstate(divide="ignore", invalid="ignore"):
         x = x.astype(np.float64, copy=False)    # a float32 NaN may signal
         a = np.abs(x)
         # k = 11 - X digits after the point, for X clipped to [-4, 11]
-        k = np.fmin(np.fmax(11.0 - np.floor(np.log10(a)), 0.0), 15.0)
-        k = k.astype(np.intp)
+        t = np.log10(a)
+        np.floor(t, out=t)
+        np.subtract(11.0, t, out=t)
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, 15.0, out=t)
+        k = t.astype(np.intp)
         scale = _POW10.take(k)
-        p = a * scale
+        p = np.multiply(a, scale, out=t)
         m = np.rint(p)
-        ok = (p >= 1e11) & (m <= _MAX_M.take(k)) & (np.abs(p - m) != 0.5)
+        ok = p >= 1e11
+        p -= m
+        ok &= np.abs(p, out=p) != 0.5
+        ok &= m <= _MAX_M.take(k, out=p)
     ok |= a == 0
-    bad = np.flatnonzero(~ok)
-    m[bad] = 0.0
+    if ok.all():
+        bad, texts = (), []
+    else:
+        bad = np.flatnonzero(~ok)
+        m[bad] = 0.0
+        texts = ["%.12g" % v for v in x[bad].tolist()]
     # m < 2^40 and scale = 10^k, so the floor of the rounded quotient is
     # exact, and so is the fraction field f * 10^(4n - k) < 10^(4n)
-    i = np.floor(m / scale)
-    f = m - i * scale
+    i = np.floor(np.divide(m, scale, out=p), out=p)
+    f = np.subtract(m, np.multiply(i, scale, out=scale), out=m)
     point = f > 0
     n = -(-int(np.max(k, where=point, initial=0)) // 4)
-    g = (f * _POW10.take(np.maximum(4 * n - k, 0))).astype(np.int64)
+    np.subtract(4 * n, k, out=k)
+    f *= _POW10.take(np.maximum(k, 0, out=k), out=scale)
     ints = _int_lookups(i.astype(np.int64))
-    return (ints + _frac_lookups(g, n), bad,
-            ["%.12g" % v for v in x[bad].tolist()],
+    return (ints + _frac_lookups(f.astype(np.int64), n), bad, texts,
             [(0, _SIGN, np.signbit(x)), (len(ints) - 1, _POINT, point)])
 
 
@@ -212,15 +232,20 @@ def _cell_words(cells: np.ndarray) -> np.ndarray:
     return out.view(np.uint32)
 
 
+_NO_CELLS = _cell_words(_text_cells([]))
+
+
 class Coded:
     """A column whose row r prints as cells[codes(start, stop)[r - start]]
-    for r in start:stop: each distinct cell is rendered once."""
+    for r in start:stop: each distinct cell is rendered once, into word
+    tables built once per column."""
 
-    __slots__ = ("cells", "size", "codes")
+    __slots__ = ("words", "size", "codes")
 
     def __init__(self, cells: np.ndarray, size: int,
                  codes: Callable[[int, int], np.ndarray]):
-        self.cells = cells          # (k, width) uint8, padded with _PAD
+        # cells: (k, width) uint8, padded with _PAD; words: (places, k)
+        self.words = np.ascontiguousarray(_cell_words(cells).T)
         self.size = size
         self.codes = codes
 
@@ -281,7 +306,7 @@ def _lookups(col, start: int, stop: int):
     start:stop."""
     if isinstance(col, Coded):
         codes = col.codes(start, stop)
-        return [(w, codes) for w in _cell_words(col.cells).T], (), [], []
+        return [(w, codes) for w in col.words], (), [], []
     values = col[start:stop]
     if isinstance(values, range):
         values = np.arange(values.start, values.stop, values.step)
@@ -300,7 +325,7 @@ def _fill(parts, rows: int) -> np.ndarray:
     every cell becomes the row's line break or the `,`."""
     cells = []
     for lookups, bad, texts, marks in parts:
-        fallback = _cell_words(_text_cells(texts))
+        fallback = _cell_words(_text_cells(texts)) if texts else _NO_CELLS
         cells.append((max(len(lookups), fallback.shape[1]), lookups, bad,
                       fallback, marks))
     buf = np.empty((sum(c[0] for c in cells), rows), np.uint32)

@@ -24,10 +24,10 @@ from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
                       check_count, check_e2_below_one, check_unit_interval)
 
-# A scan peaks at ~45 bytes per (p1, p4) cell, and its CSV, written block by
-# block, adds a few MB of block buffers (tracemalloc, resolution 1001 and
-# 2001; ~83 bytes per cell at 301): at most MAX_RESOLUTION keeps one scan
-# under ~0.5 GB.
+# A scan peaks at ~29 bytes per (p1, p4) cell and keeps ~27 of them, and
+# its CSV, written block by block, adds a few MB of block buffers
+# (tracemalloc, resolution 1001 and 2001; ~86 bytes per cell at 301): at most
+# MAX_RESOLUTION keeps one scan under ~0.3 GB.
 MAX_RESOLUTION = 3000
 
 # The reason attached to a cell, indexed by its reason code (0: feasible).
@@ -52,21 +52,37 @@ def _solve_cells(p1, p4, u_c, a, b, d1, e2):
     """The pinning solution broadcast over p1 and p4: (p2, p3, pinned,
     feasible, reason code).  A feasible cell's p2, p3 are clamped to [0, 1]
     (a -0.0 becomes 0.0); the p1 = 1, p4 = 0 corner is infeasible with a NaN
-    pinned value."""
-    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
-          + (u_c[0] - u_c[1]) * (1 + p4)) / d1
-    p3 = ((u_c[3] - u_c[2]) * (1 - p1)
-          + (u_c[0] - u_c[2]) * (1 - e2) * p4) / d1
-    p2_ok = (p2 >= -BOUNDARY_TOL) & (p2 <= 1 + BOUNDARY_TOL)
-    p3_ok = (p3 >= -BOUNDARY_TOL) & (p3 <= 1 + BOUNDARY_TOL)
+    pinned value.  The outputs are allocated once at the broadcast shape (p2
+    and p3 as the two halves of one stack) and written in place; every
+    formula keeps its operands and order of operations, so the result is
+    that of evaluating it into fresh arrays.  0-d inputs give 0-d arrays,
+    and `solve_pinning` is this kernel at one cell."""
+    shape = np.broadcast(p1, p4).shape
     corner = (p1 == 1.0) & (p4 == 0.0)
-    feasible = p2_ok & p3_ok & ~corner
-    code = np.where(corner, 4, ~p2_ok + 2 * ~p3_ok).astype(np.int8)
+    pinned = np.empty(shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        pinned = (a * (1 - p1) + b * p4) / (1 - p1 + p4)
-    pinned = np.where(corner, np.nan, pinned)
-    p2 = np.where(feasible, np.clip(p2, 0.0, 1.0) + 0.0, p2)
-    p3 = np.where(feasible, np.clip(p3, 0.0, 1.0) + 0.0, p3)
+        np.add(a * (1 - p1), b * p4, out=pinned)
+        pinned /= 1 - p1 + p4
+    np.copyto(pinned, np.nan, where=corner)
+    p23 = np.empty((2, *shape))
+    p2, p3 = p23[0, ...], p23[1, ...]     # `...` keeps 0-d halves arrays
+    np.add((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1,
+           (u_c[0] - u_c[1]) * (1 + p4), out=p2)
+    np.add((u_c[3] - u_c[2]) * (1 - p1),
+           (u_c[0] - u_c[2]) * (1 - e2) * p4, out=p3)
+    p23 /= d1
+    ok = p23 >= -BOUNDARY_TOL
+    ok &= p23 <= 1 + BOUNDARY_TOL
+    feasible = ok[0] & ok[1]
+    feasible &= ~corner
+    p23.clip(0.0, 1.0, out=p23, where=feasible)
+    np.add(p23, 0.0, out=p23, where=feasible)
+    # reason code: 2 if p3 is out of range, + 1 if p2 is; 4 at the corner
+    bad = np.invert(ok, out=ok).view(np.int8)
+    code = bad[1, ...]
+    code <<= 1
+    code += bad[0]
+    np.copyto(code, 4, where=corner)
     return p2, p3, pinned, feasible, code
 
 
@@ -201,13 +217,16 @@ class PinningGrid:
              self.p2.ravel(), self.p3.ravel(), self.pinned_s_c.ravel()]))
 
     def summary(self) -> dict:
-        feas = self.feasible
-        sc = self.pinned_s_c[feas]
+        # reduced under the mask: a copy of the feasible cells would be a
+        # fresh 8 bytes per cell, first touched here
+        feas, sc, count = self.feasible, self.pinned_s_c, self.feasible_count
+        lo = float(sc.min(where=feas, initial=np.inf)) if count else None
+        hi = float(sc.max(where=feas, initial=-np.inf)) if count else None
         return {
-            "cells": int(self.feasible.size),
-            "feasible_cells": self.feasible_count,
-            "s_c_min": float(sc.min()) if sc.size else None,
-            "s_c_max": float(sc.max()) if sc.size else None,
+            "cells": int(feas.size),
+            "feasible_cells": count,
+            "s_c_min": lo,
+            "s_c_max": hi,
             "a_const": self.a_const,
             "b_const": self.b_const,
         }

@@ -107,3 +107,25 @@ def reference_verification(sol, params, ext, trials, seed, pass_size):
         max_residual = float(np.max(residual, initial=max_residual))
         remaining -= s_p.size
     return VerificationReport(trials, max_residual, discarded)
+
+
+def reference_solve_cells(p1, p4, u_c, a, b, d1, e2):
+    """The pinning kernel written with a fresh array per step and np.where
+    for the corner and the clamp: `pinning._solve_cells` must reproduce its
+    (p2, p3, pinned, feasible, reason code) bit for bit."""
+    from zdtrade.payoffs import BOUNDARY_TOL
+    p2 = ((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1
+          + (u_c[0] - u_c[1]) * (1 + p4)) / d1
+    p3 = ((u_c[3] - u_c[2]) * (1 - p1)
+          + (u_c[0] - u_c[2]) * (1 - e2) * p4) / d1
+    p2_ok = (p2 >= -BOUNDARY_TOL) & (p2 <= 1 + BOUNDARY_TOL)
+    p3_ok = (p3 >= -BOUNDARY_TOL) & (p3 <= 1 + BOUNDARY_TOL)
+    corner = (p1 == 1.0) & (p4 == 0.0)
+    feasible = p2_ok & p3_ok & ~corner
+    code = np.where(corner, 4, ~p2_ok + 2 * ~p3_ok).astype(np.int8)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pinned = (a * (1 - p1) + b * p4) / (1 - p1 + p4)
+    pinned = np.where(corner, np.nan, pinned)
+    p2 = np.where(feasible, np.clip(p2, 0.0, 1.0) + 0.0, p2)
+    p3 = np.where(feasible, np.clip(p3, 0.0, 1.0) + 0.0, p3)
+    return p2, p3, pinned, feasible, code

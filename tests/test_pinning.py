@@ -11,9 +11,11 @@ from zdtrade import (DegenerateParameterError, GameParams,
                      expected_payoffs_many, pinning_sensitivity_noise,
                      pinning_sensitivity_strategy, reducible_mask,
                      scan_pinning_region, solve_pinning)
+from zdtrade import pinning
+from zdtrade.payoffs import BOUNDARY_TOL
 from zdtrade.pinning import MAX_RESOLUTION
 
-from conftest import csv_of
+from conftest import csv_of, reference_solve_cells
 
 
 def test_baseline_solution_values(base_params):
@@ -276,7 +278,9 @@ def test_scan_csv_and_summary(base_params):
     info = grid.summary()
     assert info["cells"] == 121
     assert info["feasible_cells"] == grid.feasible_count
-    assert info["s_c_min"] is not None
+    feasible_s_c = grid.pinned_s_c[grid.feasible]
+    assert (info["s_c_min"], info["s_c_max"]) == (feasible_s_c.min(),
+                                                  feasible_s_c.max())
 
 
 def test_empty_region_at_extreme_masking_noise():
@@ -398,3 +402,107 @@ def test_scan_cells_equal_solver(params):
             assert bits(cell) == bits(sol)
             if sol.feasible:
                 assert lo - slack <= sol.pinned_s_c <= hi + slack
+
+
+# --- the in-place kernel against its allocate-per-step form -------------------
+
+def kernel_pair(p1, p4, params):
+    """(kernel, reference) outputs at the same cells, as arrays."""
+    consts = (*pinning._pinning_constants(params), params.e2)
+    return ([np.asarray(x) for x in pinning._solve_cells(p1, p4, *consts)],
+            [np.asarray(x) for x in reference_solve_cells(p1, p4, *consts)])
+
+
+def assert_same_cells(p1, p4, params):
+    got, want = kernel_pair(p1, p4, params)
+    for name, g, w in zip(("p2", "p3", "pinned", "feasible", "code"),
+                          got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), (name, params)
+        assert g.tobytes() == w.tobytes(), (name, params)
+
+
+def edge_axes(params, rng):
+    """p1 and p4 axes with the corner, random values, and values that put
+    p2 (along the first p4 values) or p3 (along the first p1 values) within
+    BOUNDARY_TOL of 0 and of 1, on both sides; and the unclamped (p2, p3)
+    of a cell."""
+    u_c, _, _, d1 = pinning._pinning_constants(params)
+    e2 = params.e2
+    c21, c22 = u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0]), u_c[0] - u_c[1]
+    c31, c32 = u_c[3] - u_c[2], (u_c[0] - u_c[2]) * (1 - e2)
+    p1s, p4s = [1.0, 0.0, *rng.random(6)], [0.0, 1.0, *rng.random(6)]
+    targets = [-2 * BOUNDARY_TOL, -BOUNDARY_TOL / 2, 0.0, BOUNDARY_TOL / 2,
+               1 - BOUNDARY_TOL / 2, 1 + BOUNDARY_TOL / 2, 1 + 2 * BOUNDARY_TOL]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1s += [(t * d1 - c22 * (1 + p4)) / c21 for t in targets
+                for p4 in p4s[:3]]
+        p4s += [(t * d1 - c31 * (1 - p1)) / c32 for t in targets
+                for p1 in p1s[:3]]
+    inside = (lambda v: np.array([float(x) for x in v if 0.0 <= x <= 1.0]))
+
+    def raw(p1, p4):
+        return ((c21 * p1 + c22 * (1 + p4)) / d1,
+                (c31 * (1 - p1) + c32 * p4) / d1)
+    return inside(p1s), inside(p4s), raw
+
+
+def test_kernel_is_bit_exact_against_allocating_form():
+    rng = np.random.default_rng(24)
+    games = [GameParams(1, 1, 1, 1, 1, 0.5, 0.0, 0.0)]   # D1 < 0: 0 / D1 = -0.0
+    while len(games) < 120:
+        c = (rng.integers(1, 10, 6).astype(float) if len(games) % 2 else
+             rng.uniform(0.1, 10, 6))
+        games.append(GameParams(*c, *rng.choice([0.0, 0.5, rng.random()], 2)))
+    clamped = {"below 0": 0, "above 1": 0}
+    for params in games:
+        try:
+            p1, p4, raw = edge_axes(params, rng)
+        except DegenerateParameterError:
+            continue
+        assert_same_cells(p1[:, None], p4[None, :], params)
+        assert_same_cells(p1[None, :], p4[:, None], params)
+        for i in range(len(p1)):
+            for j in range(i % 3, len(p4), 3):
+                assert_same_cells(np.float64(p1[i]), np.float64(p4[j]),
+                                  params)
+        p2, p3, _, feasible, _ = kernel_pair(p1[:, None], p4[None, :],
+                                             params)[0]
+        assert not np.signbit(p2[feasible]).any()
+        assert not np.signbit(p3[feasible]).any()
+        for x in raw(p1[:, None], p4[None, :]):
+            clamped["below 0"] += int((feasible & (x < 0)).sum())
+            clamped["above 1"] += int((feasible & (x > 1)).sum())
+    assert min(clamped.values()) > 0, clamped
+    # p3 = 0 / D1 with D1 < 0 is -0.0 before the clamp, 0.0 after it
+    p1, p4, raw = edge_axes(games[0], rng)
+    one, tiny = np.float64(1.0), np.float64(5e-237)
+    assert np.signbit(raw(one, tiny)[1])
+    assert_same_cells(one, tiny, games[0])
+    assert_same_cells(np.array([[1.0], [0.5]]), np.array([[0.0, 5e-237]]),
+                      games[0])
+    sol = solve_pinning(1.0, 5e-237, games[0])
+    assert sol.feasible and struct.pack("<d", sol.p3) == bytes(8)
+
+
+def test_scalar_solver_and_scan_share_the_kernel(base_params, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(np.shape(args[0]))
+        return kernel(*args)
+
+    kernel = pinning._solve_cells
+    monkeypatch.setattr(pinning, "_solve_cells", spy)
+    solve_pinning(0.9, 0.1, base_params)
+    scan_pinning_region(base_params, resolution=5)
+    assert calls == [(), (5, 1)]
+
+
+def test_scan_peak_memory_per_cell(base_params):
+    tracemalloc.start()
+    try:
+        scan_pinning_region(base_params, resolution=1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 1001 ** 2

@@ -98,6 +98,68 @@ def test_array_path_renders_nearly_every_pinning_cell():
     assert fallback <= 1e-3 * sum(c.size for c in floats)
 
 
+def float_parts(values) -> tuple[int, int]:
+    """(fallback cells, index of the units word) of one float block."""
+    _, bad, texts, marks = text_mod._float_cells(np.asarray(values, float))
+    assert len(bad) == len(texts)
+    return len(bad), marks[1][0]
+
+
+def test_one_digit_integer_parts_take_the_units_word_alone():
+    rng = np.random.default_rng(11)
+    values = (rng.random(3000) - 0.5) * 19.99
+    values[:1000] = np.round(values[:1000], 3)
+    values[1000:1010] = [0.0, -0.0, 9.0, -9.0, 9.9999999999949, 1e-4,
+                         -9.5, 0.5, 5e-4, 1.0]
+    assert float_parts(values) == (0, 0)
+    assert_floats_exact(values)
+    ints = np.arange(-9, 10)
+    assert cells(ints) == ["%d" % v for v in ints.tolist()]
+    assert cells(ints.astype(np.uint8)[9:]) == [str(v) for v in range(10)]
+
+
+def test_a_carry_to_ten_leaves_the_units_word_fast_path():
+    # 9.99999999999995 rounds to 10 at 12 digits: two integer digits, so
+    # the units word gives up byte 1 and a leading word holds the sign
+    assert float_parts([9.99999999999995]) == (0, 1)
+    assert float_parts([-9.5]) == (0, 0)
+    for values in ([9.99999999999995], [-9.5], [-9.99999999999995],
+                   [9.99999999999995, -9.5, 0.25, -0.0],
+                   [9.999999999995, -9.9999999999995, 9.99999999999949]):
+        assert_floats_exact(values)
+
+
+def test_blocks_with_and_without_fallback_cells():
+    rng = np.random.default_rng(12)
+    values = rng.random(500) * 9.5
+    assert float_parts(values)[0] == 0
+    assert_floats_exact(values)
+    for odd in (np.nan, 1e-5, 1e12, -np.inf):
+        mixed = values.copy()
+        mixed[137] = odd
+        assert float_parts(mixed)[0] == 1
+        assert_floats_exact(mixed)
+
+
+def test_coded_columns_across_many_blocks(monkeypatch):
+    monkeypatch.setattr(text_mod, "BLOCK_ROWS", 7)
+    outer = np.array([0.0, 0.25, -1.5, 1e12, np.nan])
+    inner = np.array([1.0, 9.99999999999995, 1e-5])
+    rows = len(outer) * len(inner)
+    flags = np.arange(rows) % 3 == 1
+    codes = np.arange(rows) % 4
+    names = ["CC", "CD", "DC", "DD"]
+    values = np.linspace(-2.0, 2.0, rows)
+    text = csv_text(["p1", "p4", "flag", "state", "x"],
+                    [*text_mod.grid_axes(outer, inner), flags,
+                     text_mod.table(names, codes), values])
+    expected = ["p1,p4,flag,state,x"] + [
+        ",".join(["%.12g" % outer[r // 3], "%.12g" % inner[r % 3],
+                  "true" if flags[r] else "false", names[codes[r]],
+                  "%.12g" % values[r]]) for r in range(rows)]
+    assert text == "\n".join(expected) + "\n"
+
+
 def test_header_and_column_counts_must_match():
     with pytest.raises(ValueError, match="1 header names but 2 columns"):
         csv_text(["a"], [np.array([1.0]), np.array([2.0])])
