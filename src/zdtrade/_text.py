@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from functools import cache
 from typing import Callable, Iterator
 
@@ -81,16 +82,20 @@ def plain(obj, strict: bool = False):
 
 
 def _digits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, ASCII digits) of 0..10^n - 1: shapes (10^n, 1), (10^n, n).
-    Digit j of every value is the index grid of n axes of ten, at axis j."""
-    digits = np.indices((10,) * n, np.uint8).reshape(n, -1).T
-    return np.arange(10 ** n)[:, None], digits + np.uint8(48)
+    """(values, ASCII digits) of 0..10^n - 1: shapes (10^n, 1), (10^n, n),
+    the digits C-contiguous.  Digit j of every value is the index of axis j
+    of a grid of n axes of ten."""
+    digits = np.empty((10,) * n + (n,), np.uint8)
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    for j in range(n):
+        digits[..., j] = ascii_digits.reshape((10,) + (1,) * (n - 1 - j))
+    return np.arange(10 ** n)[:, None], digits.reshape(-1, n)
 
 
-def _words(*cells: np.ndarray) -> np.ndarray:
-    """Stacked (n, 4) uint8 cell tables as one flat, read-only uint32 word
-    table."""
-    words = np.ascontiguousarray(np.concatenate(cells)).view(np.uint32).ravel()
+def _words(cells: np.ndarray) -> np.ndarray:
+    """A C-contiguous (variants, n, 4) uint8 cell table as one flat,
+    read-only uint32 word table."""
+    words = cells.view(np.uint32).ravel()
     words.flags.writeable = False
     return words
 
@@ -106,12 +111,35 @@ _BREAK, _COMMA, _SIGN, _POINT = (_mark("\n", 0), _mark(",", 0),
                                  _mark("-", 1), _mark(".", 3))
 
 
-@cache
-def _tables() -> dict:
-    """Word tables of 4-byte cells, built on first use (a run that writes
-    no CSV never builds them).  They hold digits and pad bytes only; a
-    table stacks the variants of one word place, indexed by digits + 10^4
-    (10^3 for units words) * variant:
+def _mid_cells(d3, d4) -> np.ndarray:
+    cells = np.stack([d4, d4])
+    for j in range(4):      # values below 10^(3-j) have j + 1 leading zeros
+        cells[0, :10 ** (3 - j), j] = _PAD
+    return cells
+
+
+def _last_cells(d3, d4) -> np.ndarray:
+    cells = np.full((2, 1000, 4), _PAD, np.uint8)
+    cells[:, :, :3] = d3
+    for j in range(2):      # byte 2 stays: 0 prints as "0"
+        cells[0, :10 ** (2 - j), j] = _PAD
+    return cells
+
+
+def _frac_cells(d3, d4) -> np.ndarray:
+    cells = np.stack([d4, d4])
+    for j in range(4):      # multiples of 10^(4-j) end in 4 - j zeros
+        cells[1, ::10 ** (4 - j), j] = _PAD
+    return cells
+
+
+class _Tables(Mapping):
+    """Word tables of 4-byte cells by name.  Each is built from the digit
+    arrays, taken when the mapping is made, the first time a column reads
+    it: a run that writes no CSV builds none, and one whose integer parts
+    all lie below 10, as a `scan-pin` CSV's do, never builds `mid`.  They
+    hold digits and pad bytes only; a table stacks the variants of one word
+    place, indexed by digits + 10^4 (10^3 for units words) * variant:
 
     mid    a 4-digit word of an integer part: [leading zeros padded,
            all digits]; the leading word of an integer part of two or more
@@ -121,16 +149,29 @@ def _tables() -> dict:
            [leading zeros padded, all digits]; a one-digit integer part is
            its padded variant alone
     frac   a 4-digit fraction word: [all digits, trailing zeros padded]"""
-    v4, d4 = _digits(4)
-    col = np.arange(4)
-    lead = np.where(v4 < 10 ** (3 - col), _PAD, d4).astype(np.uint8)
-    trail = np.where(v4 % 10 ** (4 - col) == 0, _PAD, d4).astype(np.uint8)
-    v3, d3 = _digits(3)
-    lead0 = np.where((v3 < 10 ** (2 - col[:3])) & (col[:3] < 2), _PAD, d3)
-    units = [np.hstack([c, np.full((1000, 1), _PAD)]).astype(np.uint8)
-             for c in (lead0, d3)]                  # lead0: 0 prints as "0"
-    return {"mid": _words(lead, d4), "last": _words(*units),
-            "frac": _words(d4, trail)}
+
+    _CELLS = {"mid": _mid_cells, "last": _last_cells, "frac": _frac_cells}
+
+    def __init__(self):
+        self._digits = _digits(3)[1], _digits(4)[1]
+        self._built = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._built:
+            self._built[name] = _words(self._CELLS[name](*self._digits))
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._CELLS)
+
+    def __len__(self) -> int:
+        return len(self._CELLS)
+
+
+@cache
+def _tables() -> _Tables:
+    """The renderer's word tables, made on first use."""
+    return _Tables()
 
 
 def _int_lookups(i) -> list:
@@ -257,10 +298,18 @@ _BOOL = _text_cells(["false", "true"])
 
 
 def _cells(names) -> np.ndarray:
-    """(len(names), width) uint8 cells of `names`, each by its dtype's rule."""
-    if isinstance(names, np.ndarray):
-        return _text_cells(_texts(names))
-    return _text_cells([_texts(np.asarray(n).reshape(1))[0] for n in names])
+    """(len(names), width) uint8 cells of `names`, each by its dtype's rule.
+    An array's cells are the rows of its `_fill` buffer without the line
+    break, their pad bytes moved to the end."""
+    if not isinstance(names, np.ndarray):
+        return _text_cells([_texts(np.asarray(n).reshape(1))[0]
+                            for n in names])
+    raw = np.ascontiguousarray(_rendered(names).T).view(np.uint8)[:, 1:]
+    keep = raw != _PAD
+    count = keep.sum(axis=1)
+    cells = np.full((len(raw), count.max(initial=0)), _PAD, np.uint8)
+    cells[np.arange(cells.shape[1]) < count[:, None]] = raw[keep]
+    return cells
 
 
 def table(names, codes=None) -> Coded:
@@ -344,11 +393,15 @@ def _fill(parts, rows: int) -> np.ndarray:
     return buf
 
 
+def _rendered(values: np.ndarray) -> np.ndarray:
+    """The (words, rows) `_fill` buffer of a 1-D array, one row a value."""
+    return _fill([_lookups(_column(values), 0, len(values))], len(values))
+
+
 def _texts(values: np.ndarray) -> list:
     """The CSV text of each value of a 1-D array (after the line break)."""
-    buf = _fill([_lookups(_column(values), 0, len(values))], len(values))
     return [row.tobytes().translate(None, b"\xff").decode()[1:]
-            for row in buf.T]
+            for row in _rendered(values).T]
 
 
 def csv_blocks(header, columns) -> Iterator[bytes]:

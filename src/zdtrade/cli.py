@@ -9,9 +9,11 @@ by the command or not, so typos fail loudly.  A section set to null counts
 as absent.  Ranges, signs and finiteness are checked by the library.  JSON
 artifacts are strict JSON: an undefined (NaN) or infinite value is null.
 
-Options may come before or after the command (`getopt.gnu_getopt`).  A
-usage error is returned as exit code 2, with the usage text on stderr, not
-raised as SystemExit.
+Options may come before or after the command, whether or not
+POSIXLY_CORRECT is set.  A long option may be written as any unique prefix
+of its name, with its value as the next token or after `=`; `--` ends the
+options, so every token after it is positional.  A usage error is returned
+as exit code 2, with the usage text on stderr, not raised as SystemExit.
 
 Exit codes: 0 success, 2 config/usage error (also an artifact or trace file
 that cannot be written), 3 invalid or degenerate parameters (also a
@@ -21,7 +23,6 @@ negative seed), 4 a scan produced an empty feasible set.
 from __future__ import annotations
 
 import dataclasses
-import getopt
 import json
 import sys
 from types import SimpleNamespace
@@ -377,34 +378,70 @@ commands:
   check-collector  emit collector-side infeasibility certificates
   simulate         play the game round by round and compare to analytics
 """
-_LONG = "help strict-ordering config= out= format= seed= jobs=".split()
+# long option -> whether it takes a value; no name is a prefix of another
+_LONG = {"help": False, "strict-ordering": False, "config": True, "out": True,
+         "format": True, "seed": True, "jobs": True}
+
+
+class _UsageError(Exception):
+    """A malformed command line, reported as exit code 2."""
+
+
+def _long_option(token: str, tokens) -> tuple:
+    """(name, value) of the long option `token`, written as its name or a
+    unique prefix of it, with `=value` or, for an option that takes one,
+    the value from the next of `tokens`."""
+    name, eq, value = token[2:].partition("=")
+    matches = [o for o in _LONG if o.startswith(name)]
+    if len(matches) != 1:
+        raise _UsageError(f"option --{name} not "
+                          + ("a unique prefix" if matches else "recognized"))
+    name = matches[0]
+    if not _LONG[name]:
+        if eq:
+            raise _UsageError(f"option --{name} must not have an argument")
+    elif not eq:
+        value = next(tokens, None)
+        if value is None:
+            raise _UsageError(f"option --{name} requires argument")
+    return name, value
 
 
 def _parse_args(argv):
-    """The command and options of argv, or None for -h/--help.  A usage
-    error raises getopt.GetoptError naming the offending token."""
-    opts, rest = getopt.gnu_getopt(argv, "h", _LONG)
-    if rest[1:]:    # POSIXLY_CORRECT stops gnu_getopt at the command
-        more, rest[1:] = getopt.gnu_getopt(rest[1:], "h", _LONG)
-        opts += more
-    given = {flag.lstrip("-"): value for flag, value in opts}  # the last wins
-    if {"h", "help"} & given.keys():
+    """The command and options of argv, or None for -h/--help.  Options
+    are read on both sides of the command, up to a `--`; a usage error
+    raises _UsageError naming the offending token."""
+    tokens, given, rest = iter(argv), {}, []
+    for token in tokens:
+        if token == "--":
+            rest += tokens                      # the rest are positional
+        elif token.startswith("--"):
+            name, value = _long_option(token, tokens)
+            given[name] = value                 # the last one wins
+        elif token.startswith("-") and token != "-":
+            for flag in token[1:]:
+                if flag != "h":
+                    raise _UsageError(f"option -{flag} not recognized")
+            given["help"] = ""
+        else:
+            rest.append(token)
+    if "help" in given:
         return None
     if len(rest) != 1 or rest[0] not in _HANDLERS:
-        raise getopt.GetoptError(
+        raise _UsageError(
             f"expected one command of {', '.join(_HANDLERS)}, "
             f"got {' '.join(map(repr, rest)) or 'none'}")
     if "config" not in given:
-        raise getopt.GetoptError("--config is required")
+        raise _UsageError("--config is required")
     if given.get("format", "csv") not in ("csv", "json"):
-        raise getopt.GetoptError(
+        raise _UsageError(
             f"--format must be csv or json, got {given['format']!r}")
     for name in {"seed", "jobs"} & given.keys():
         try:
             given[name] = int(given[name])
         except ValueError:
-            raise getopt.GetoptError(f"--{name} must be an integer, "
-                                     f"got {given[name]!r}") from None
+            raise _UsageError(f"--{name} must be an integer, "
+                              f"got {given[name]!r}") from None
     return SimpleNamespace(
         command=rest[0], config=given["config"], out=given.get("out"),
         format=given.get("format"), seed=given.get("seed"),
@@ -448,8 +485,8 @@ def main(argv=None) -> int:
             except BrokenPipeError:
                 pass    # the reader stopped early, as `head` does: end quietly
         return code
-    except getopt.GetoptError as exc:
-        sys.stderr.write(f"{_USAGE}zdtrade: error: {exc.msg}\n")
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}zdtrade: error: {exc}\n")
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

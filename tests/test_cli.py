@@ -663,6 +663,53 @@ def test_option_spellings_give_the_same_artifact(tmp_path, capsys):
     assert artifacts == artifacts[:1] * len(spellings)
 
 
+def test_option_prefixes_give_the_same_artifact(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    raw = json.loads((tmp_path / "cfg.json").read_text())
+    raw["game"].update({"e1": 0.5, "e2": 0.9})   # meets --strict-ordering
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    spellings = [
+        ["payoffs", "--config", cfg, "--format", "json", "--strict-ordering"],
+        ["payoffs", "--conf", cfg, "--form=json", "--strict"],
+    ]
+    artifacts, summaries = [], []
+    for k, argv in enumerate(spellings):
+        out = tmp_path / f"payoffs{k}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+        summaries.append(capsys.readouterr())
+    assert b'"ordering"' in artifacts[0]
+    assert artifacts[1] == artifacts[0] and summaries[1] == summaries[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["payoffs", "--config", "CFG", "--s"], "option --s not a unique prefix"),
+    (["payoffs", "--config", "CFG", "--help=x"],
+     "option --help must not have an argument"),
+    (["payoffs", "--config", "CFG", "-x"], "option -x not recognized"),
+    (["payoffs", "--config", "CFG", "--config"],
+     "option --config requires argument"),
+])
+def test_usage_error_messages(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path)
+    assert main([cfg if a == "CFG" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == cli._USAGE + f"zdtrade: error: {message}\n"
+
+
+@pytest.mark.parametrize("posixly_correct", [False, True])
+def test_double_dash_ends_the_options(tmp_path, capsys, monkeypatch,
+                                      posixly_correct):
+    if posixly_correct:
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    cfg = write_config(tmp_path)
+    assert main(["payoffs", "--", "--config", cfg]) == 2
+    assert "got 'payoffs' '--config'" in capsys.readouterr().err
+    out = tmp_path / "payoffs.csv"
+    assert main(["--config", cfg, "--out", str(out), "--", "payoffs"]) == 0
+    assert out.read_text().startswith("key,value\n")
+
+
 def test_options_after_the_command_under_posixly_correct(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setenv("POSIXLY_CORRECT", "1")
@@ -676,10 +723,20 @@ def test_options_after_the_command_under_posixly_correct(tmp_path, capsys,
 def test_front_end_imports_no_argparse(tmp_path):
     cfg = write_config(tmp_path)
     src = os.path.dirname(os.path.dirname(zdtrade.__file__))
-    code = ("import sys, zdtrade.cli as cli; "
+    code = ("import sys, zdtrade; before = set(sys.modules); "
+            "import zdtrade.cli as cli; "
+            "added = sorted(set(sys.modules) - before); "
             f"code = cli.main(['payoffs', '--config', {cfg!r}, "
             f"'--out', {str(tmp_path / 'payoffs.csv')!r}]); "
-            "print(code, 'argparse' in sys.modules)")
+            "print(code, 'argparse' in sys.modules); print(*added); "
+            "print(*(m for m in ('argparse', 'getopt', 'gettext') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    status, added, front_ends = proc.stdout.splitlines()[-3:]
+    assert status == "0 False", proc.stderr
+    # importing the front end adds the json package and itself, nothing else
+    assert "zdtrade.cli" in added.split()
+    assert [m for m in added.split() if m != "zdtrade.cli" and m != "_json"
+            and m.split(".")[0] != "json"] == []
+    assert front_ends == ""

@@ -160,6 +160,28 @@ def test_coded_columns_across_many_blocks(monkeypatch):
     assert text == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize("values", [
+    np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-5,
+              99999999999.5, 999999999999.4, 1e12, -1.5, 0.25]),
+    np.linspace(0.0, 0.9, 200),
+    np.array([10**13, -10**13, 10**13 - 1, 10**14 + 3, 2**63 - 1, -2**63,
+              0, -7], dtype=np.int64),
+    np.array([10**13, 2**64 - 1, 9, 0], dtype=np.uint64),
+    np.array([], dtype=float),
+])
+def test_coded_number_cells_equal_their_texts(values):
+    texts = text_mod._texts(values)
+    cells_ = text_mod._cells(values)
+    reference = text_mod._text_cells(texts)
+    assert (cells_.shape, cells_.tobytes()) == (reference.shape,
+                                                reference.tobytes())
+    codes = np.arange(len(values))[::-1]
+    assert cells(text_mod.table(values, codes)) == texts[::-1]
+    outer, inner = text_mod.grid_axes(values, values[:3])
+    assert cells(outer) == [t for t in texts for _ in values[:3]]
+    assert cells(inner) == texts[:3] * len(values)
+
+
 def test_header_and_column_counts_must_match():
     with pytest.raises(ValueError, match="1 header names but 2 columns"):
         csv_text(["a"], [np.array([1.0]), np.array([2.0])])
