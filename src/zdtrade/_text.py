@@ -4,9 +4,13 @@
 become dicts of their fields, arrays and tuples lists, numpy scalars Python
 numbers, and with `strict` every NaN or infinity becomes None.
 
-A CSV value prints by the rule of its numpy dtype kind: floats as `%.12g`
-(nan, inf, -inf, -0), integers as `%d`, booleans as false/true, strings as
-they are.  Nothing depends on the locale, so reruns are byte-identical.
+A CSV value prints by one scalar rule: a float as `%.12g` (nan, inf,
+-inf, -0), an integer as `%d`, a boolean as false/true, anything else by
+`str`.  An array column applies it by its numpy dtype kind through the word
+tables below; the names of a `table` given as a list or tuple (the
+key/value CSV's keys and values, a trace's state names) print one by one
+through `_scalar_text`, as do the few fallback cells of an array.  Nothing
+depends on the locale, so reruns are byte-identical.
 
 `csv_blocks` renders BLOCK_ROWS rows at a time into one uint32 buffer,
 held transposed so that each word column is written by one contiguous
@@ -20,10 +24,11 @@ padding only, leading and trailing zeros already padded, so a cell costs a
 few table lookups, not per-byte work.  Every other byte is a mark XORed
 into a pad byte that the tables leave free: the row's line break or the `,`
 into byte 0 of every cell, the `-` into byte 1 of a number's first word and
-the `.` into byte 3 of its units word.  Booleans and `table` and
-`grid_axes` columns are coded: each distinct cell is rendered once, into
-word tables built once per column, and taken by code; a `range` column is
-made an array a block at a time.
+the `.` into byte 3 of its units word.  `table` and `grid_axes` columns
+are coded: each distinct cell is rendered once, into word tables built once
+per column by `_cell_words`, and taken by code; a bool column is
+`table((False, True), col)`, and a `range` column is made an array a block
+at a time.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
 from functools import cache
 from typing import Callable, Iterator
 
@@ -59,6 +63,19 @@ _MAX_M = np.where(np.arange(16) == 0, 1e12 - 1, 1e12)   # no carry at X = 11
 
 def fmt_float(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _scalar_text(value) -> str:
+    """The CSV text of one value by the scalar rule."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, (float, np.floating)):
+        return fmt_float(value)
+    return str(value)
 
 
 def plain(obj, strict: bool = False):
@@ -133,13 +150,14 @@ def _frac_cells(d3, d4) -> np.ndarray:
     return cells
 
 
-class _Tables(Mapping):
-    """Word tables of 4-byte cells by name.  Each is built from the digit
-    arrays, taken when the mapping is made, the first time a column reads
-    it: a run that writes no CSV builds none, and one whose integer parts
-    all lie below 10, as a `scan-pin` CSV's do, never builds `mid`.  They
-    hold digits and pad bytes only; a table stacks the variants of one word
-    place, indexed by digits + 10^4 (10^3 for units words) * variant:
+@cache
+def _table(name: str) -> np.ndarray:
+    """The word table `name` of 4-byte cells, built from the digit arrays
+    the first time a column reads it: a run that writes no CSV builds none,
+    and one whose integer parts all lie below 10, as a `scan-pin` CSV's do,
+    never builds `mid`.  The tables hold digits and pad bytes only; each
+    stacks the variants of one word place, indexed by digits + 10^4 (10^3
+    for units words) * variant:
 
     mid    a 4-digit word of an integer part: [leading zeros padded,
            all digits]; the leading word of an integer part of two or more
@@ -149,44 +167,22 @@ class _Tables(Mapping):
            [leading zeros padded, all digits]; a one-digit integer part is
            its padded variant alone
     frac   a 4-digit fraction word: [all digits, trailing zeros padded]"""
-
-    _CELLS = {"mid": _mid_cells, "last": _last_cells, "frac": _frac_cells}
-
-    def __init__(self):
-        self._digits = _digits(3)[1], _digits(4)[1]
-        self._built = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._built:
-            self._built[name] = _words(self._CELLS[name](*self._digits))
-        return self._built[name]
-
-    def __iter__(self):
-        return iter(self._CELLS)
-
-    def __len__(self) -> int:
-        return len(self._CELLS)
-
-
-@cache
-def _tables() -> _Tables:
-    """The renderer's word tables, made on first use."""
-    return _Tables()
+    cells = {"mid": _mid_cells, "last": _last_cells, "frac": _frac_cells}[name]
+    return _words(cells(_digits(3)[1], _digits(4)[1]))
 
 
 def _int_lookups(i) -> list:
     """(table, index) word lookups of the integer part `i` >= 0, in as few
     words as leave the first two bytes of the first word free for the `,`
     and the sign; the last lookup is the units word."""
-    tables = _tables()
     wide = int((i.max(initial=0) >= 10 ** np.array([1, 5, 9])).sum())
     if not wide:                    # every i < 10: the units word alone
-        return [(tables["last"], i)]
+        return [(_table("last"), i)]
     rest = i // 1000
-    out = [(tables["last"], i - rest * 1000 + 1000 * (rest > 0))]
+    out = [(_table("last"), i - rest * 1000 + 1000 * (rest > 0))]
     for _ in range(wide):
         high = rest // 10000
-        out.append((tables["mid"], rest - high * 10000 + 10000 * (high > 0)))
+        out.append((_table("mid"), rest - high * 10000 + 10000 * (high > 0)))
         rest = high
     return out[::-1]
 
@@ -194,7 +190,7 @@ def _int_lookups(i) -> list:
 def _frac_lookups(g, n: int) -> list:
     """Word lookups of the 4n-digit fraction field `g`, trailing zeros as
     padding."""
-    frac, out, zero = _tables()["frac"], [], np.True_
+    frac, out, zero = _table("frac"), [], np.True_
     for _ in range(n):
         high = g // 10000
         digits = g - high * 10000
@@ -231,7 +227,7 @@ def _float_cells(x: np.ndarray):
     else:
         bad = np.flatnonzero(~ok)
         m[bad] = 0.0
-        texts = ["%.12g" % v for v in x[bad].tolist()]
+        texts = list(map(_scalar_text, x[bad].tolist()))
     # m < 2^40 and scale = 10^k, so the floor of the rounded quotient is
     # exact, and so is the fraction field f * 10^(4n - k) < 10^(4n)
     i = np.floor(np.divide(m, scale, out=p), out=p)
@@ -253,27 +249,34 @@ def _integer_cells(v: np.ndarray):
         ok &= v > -_INT_LIMIT
     i = np.abs(np.where(ok, v, 0).astype(np.int64))
     bad = np.flatnonzero(~ok)
-    return (_int_lookups(i), bad, [str(int(t)) for t in v[bad].tolist()],
-            [(0, _SIGN, v < 0)])
+    texts = list(map(_scalar_text, v[bad].tolist()))
+    return _int_lookups(i), bad, texts, [(0, _SIGN, v < 0)]
 
 
-def _text_cells(texts) -> np.ndarray:
-    """(n, width) uint8 UTF-8 cells of `texts`, padded with _PAD."""
-    raw = [t.encode() for t in texts]
-    width = max(map(len, raw), default=0)
-    return np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw),
-                         np.uint8).reshape(len(raw), width)
-
-
-def _cell_words(cells: np.ndarray) -> np.ndarray:
-    """(n, words) uint32 of padded uint8 cells behind a pad byte."""
+def _cell_words(names) -> np.ndarray:
+    """(words, len(names)) uint32 cells of `names`, each behind a pad byte
+    and padded with _PAD.  An array's names print by its dtype's rule: its
+    cells are the rows of its `_fill` buffer without the line break, their
+    pad bytes moved to the end.  Other names print by the scalar rule."""
+    if isinstance(names, np.ndarray):
+        raw = _fill([_lookups(_column(names), 0, len(names))], len(names))
+        raw = np.ascontiguousarray(raw.T).view(np.uint8)[:, 1:]
+        keep = raw != _PAD
+        count = keep.sum(axis=1)
+        cells = np.full((len(raw), count.max(initial=0)), _PAD, np.uint8)
+        cells[np.arange(cells.shape[1]) < count[:, None]] = raw[keep]
+    else:
+        raw = [_scalar_text(n).encode() for n in names]
+        width = max(map(len, raw), default=0)
+        cells = np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw),
+                              np.uint8).reshape(len(raw), width)
     n, width = cells.shape
     out = np.full((n, -(-(width + 1) // 4) * 4), _PAD, np.uint8)
     out[:, 1:width + 1] = cells
-    return out.view(np.uint32)
+    return np.ascontiguousarray(out.view(np.uint32).T)
 
 
-_NO_CELLS = _cell_words(_text_cells([]))
+_NO_CELLS = _cell_words(())
 
 
 class Coded:
@@ -283,10 +286,9 @@ class Coded:
 
     __slots__ = ("words", "size", "codes")
 
-    def __init__(self, cells: np.ndarray, size: int,
+    def __init__(self, words: np.ndarray, size: int,
                  codes: Callable[[int, int], np.ndarray]):
-        # cells: (k, width) uint8, padded with _PAD; words: (places, k)
-        self.words = np.ascontiguousarray(_cell_words(cells).T)
+        self.words = words      # (places, cells) uint32, from _cell_words
         self.size = size
         self.codes = codes
 
@@ -294,45 +296,28 @@ class Coded:
         return self.size
 
 
-_BOOL = _text_cells(["false", "true"])
-
-
-def _cells(names) -> np.ndarray:
-    """(len(names), width) uint8 cells of `names`, each by its dtype's rule.
-    An array's cells are the rows of its `_fill` buffer without the line
-    break, their pad bytes moved to the end."""
-    if not isinstance(names, np.ndarray):
-        return _text_cells([_texts(np.asarray(n).reshape(1))[0]
-                            for n in names])
-    raw = np.ascontiguousarray(_rendered(names).T).view(np.uint8)[:, 1:]
-    keep = raw != _PAD
-    count = keep.sum(axis=1)
-    cells = np.full((len(raw), count.max(initial=0)), _PAD, np.uint8)
-    cells[np.arange(cells.shape[1]) < count[:, None]] = raw[keep]
-    return cells
-
-
 def table(names, codes=None) -> Coded:
     """Coded column of names[codes[r]] in row r (of the names themselves
     when `codes` is None): each name is rendered once."""
-    cells = _cells(names)
+    words = _cell_words(names)
+    k = words.shape[1]
     if codes is None:
-        return Coded(cells, len(cells), np.arange)
+        return Coded(words, k, np.arange)
     codes = np.asarray(codes)
     if codes.dtype.kind == "b":
         codes = codes.view(np.uint8)
-    if codes.size and not 0 <= codes.min() <= codes.max() < len(cells):
-        raise ValueError(f"codes must lie in [0, {len(cells)}), got "
+    if codes.size and not 0 <= codes.min() <= codes.max() < k:
+        raise ValueError(f"codes must lie in [0, {k}), got "
                          f"[{codes.min()}, {codes.max()}]")
-    return Coded(cells, codes.size, lambda start, stop: codes[start:stop])
+    return Coded(words, codes.size, lambda start, stop: codes[start:stop])
 
 
 def grid_axes(outer, inner) -> tuple[Coded, Coded]:
     """The two axis columns of a row-major 2-D grid, coded per block."""
     n, size = len(inner), len(outer) * len(inner)
-    return (Coded(_cells(np.asarray(outer)), size,
+    return (Coded(_cell_words(np.asarray(outer)), size,
                   lambda start, stop: np.arange(start, stop) // n),
-            Coded(_cells(np.asarray(inner)), size,
+            Coded(_cell_words(np.asarray(inner)), size,
                   lambda start, stop: np.arange(start, stop) % n))
 
 
@@ -344,10 +329,7 @@ def _column(col) -> Coded | range | np.ndarray:
     col = np.asarray(col)
     if col.ndim != 1:
         raise ValueError(f"a CSV column must be 1-D, got shape {col.shape}")
-    if col.dtype.kind == "b":
-        return Coded(_BOOL, col.size,
-                     lambda start, stop: col[start:stop].view(np.uint8))
-    return col
+    return table((False, True), col) if col.dtype.kind == "b" else col
 
 
 def _lookups(col, start: int, stop: int):
@@ -374,8 +356,8 @@ def _fill(parts, rows: int) -> np.ndarray:
     every cell becomes the row's line break or the `,`."""
     cells = []
     for lookups, bad, texts, marks in parts:
-        fallback = _cell_words(_text_cells(texts)) if texts else _NO_CELLS
-        cells.append((max(len(lookups), fallback.shape[1]), lookups, bad,
+        fallback = _cell_words(texts) if texts else _NO_CELLS
+        cells.append((max(len(lookups), fallback.shape[0]), lookups, bad,
                       fallback, marks))
     buf = np.empty((sum(c[0] for c in cells), rows), np.uint32)
     at = 0
@@ -387,21 +369,10 @@ def _fill(parts, rows: int) -> np.ndarray:
             np.bitwise_xor(buf[at + k], mark, out=buf[at + k], where=where)
         if len(bad):
             buf[at:at + width, bad] = _PAD_WORD
-            buf[at:at + fallback.shape[1], bad] = fallback.T
+            buf[at:at + len(fallback), bad] = fallback
         buf[at] ^= _COMMA if j else _BREAK
         at += width
     return buf
-
-
-def _rendered(values: np.ndarray) -> np.ndarray:
-    """The (words, rows) `_fill` buffer of a 1-D array, one row a value."""
-    return _fill([_lookups(_column(values), 0, len(values))], len(values))
-
-
-def _texts(values: np.ndarray) -> list:
-    """The CSV text of each value of a 1-D array (after the line break)."""
-    return [row.tobytes().translate(None, b"\xff").decode()[1:]
-            for row in _rendered(values).T]
 
 
 def csv_blocks(header, columns) -> Iterator[bytes]:

@@ -152,6 +152,26 @@ def test_bound_tightness_at_exact_upper(base_params):
     assert dist < 1e-6
 
 
+@pytest.mark.parametrize("params, l1, l2, chi, row", [
+    (GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5), 1, 2, 1.5, 1),
+    (GameParams(5, 5, 1, 7, 3, 7, 0.5, 0.1), 1, 2, 2.28, 3),
+    (GameParams(7, 5, 9, 2, 5, 7, 0.3, 0.5), 1, 3.5, 4.33, 3),
+], ids=["CD-binds", "DD-binds-e2-0.1", "DD-binds-e2-0.5"])
+def test_phi_max_puts_the_binding_entry_on_the_boundary(params, l1, l2, chi,
+                                                        row):
+    # the mixed rows CD, DD have the budget 1 - e2: at the end of the phi
+    # interval their entry (p2 or p4) sits on 0 or 1, and past it leaves
+    _, phi_max = phi_feasible_interval(params, l1, l2, chi)
+
+    def solve(phi):
+        return build_extortion_strategy(
+            params, ExtortionParams(l1=l1, l2=l2, chi=chi, phi=phi))
+    sol = solve(phi_max)
+    assert sol.feasible
+    assert min(abs(sol.p[row]), abs(1 - sol.p[row])) < 1e-9, sol.p
+    assert not solve(phi_max * (1 + 1e-6)).feasible
+
+
 def test_exact_interval_subset_of_ratio_interval():
     # whenever both ratio denominators are positive, the exact interval
     # cannot escape the printed one (its CC and DD conditions imply the

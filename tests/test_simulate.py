@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
@@ -564,6 +565,31 @@ def test_state_frequency_errors_match_indicator_series(n, burn_in):
                         for k in range(4)])
     assert freq.tobytes() == want_freq.tobytes()
     assert se.tobytes() == want_se.tobytes()
+
+
+@pytest.mark.parametrize("rounds, burn_in", [(2, 0), (2, 1), (150, 0),
+                                             (150, 49), (199, 0), (199, 99)])
+def test_short_runs_report_the_iid_standard_error(base_params, rounds,
+                                                  burn_in):
+    # under 2 * BATCH_COUNT rounds there are no batches: every standard
+    # error is that of i.i.d. draws, sqrt(sample variance / n)
+    config = SimConfig(params=base_params, p=ProviderStrategy(0.8, 0.4, 0.6, 0.2),
+                       q=CollectorStrategy(0.7, 0.3), rounds=rounds, seed=5,
+                       burn_in=burn_in)
+    result, trace = play_rounds(config, collect_trace=True)
+    used = trace.states[1 + burn_in:].tolist()
+
+    def iid_se(x):
+        n = len(x)
+        if n < 2:
+            return 0.0
+        mean = sum(x) / n
+        return math.sqrt(sum((v - mean) ** 2 for v in x) / (n - 1) / n)
+    want = [iid_se(trace.u_p[burn_in:].tolist()),
+            iid_se(trace.u_c[burn_in:].tolist()),
+            *(iid_se([float(s == k) for s in used]) for k in range(4))]
+    got = [result.se_s_p, result.se_s_c, *result.se_frequencies.tolist()]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_peak_memory_per_round(base_params, tmp_path):

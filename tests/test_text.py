@@ -85,6 +85,32 @@ def test_table_columns_format_each_name_by_its_type():
     assert csv_text(["s"], [table(STATE_NAMES, [3, 0, 3])]) == "s\nDD\nCC\nDD\n"
 
 
+# floats that lie exactly halfway between two 12-digit decimals
+EXACT_TIES = [100000000000.5, 12345678901.25, 1234567890.125,
+              123456789.0625, 3.814697265625e-06]
+SUBNORMALS = st.floats(min_value=-2.2250738585072014e-308,
+                       max_value=2.2250738585072014e-308)
+UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+SCALARS = st.one_of(
+    FLOATS, SUBNORMALS, st.sampled_from(EXACT_TIES),
+    st.one_of(FLOATS, SUBNORMALS, st.sampled_from(EXACT_TIES)).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(), st.booleans().map(np.bool_),
+    INTS, UINT64, st.sampled_from([10**13, -10**13, 10**13 - 1, 2**64 - 1]),
+    INTS.map(np.int64), UINT64.map(np.uint64),
+    st.integers(min_value=-128, max_value=127).map(np.int8),
+    STRS, STRS.map(np.str_))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCALARS, min_size=1, max_size=20))
+def test_table_names_print_as_one_element_array_columns(values):
+    # the array renderer is the reference for the names' scalar rule
+    expected = "".join(csv_text(["v"], [np.asarray(v).reshape(1)])[2:]
+                       for v in values)
+    assert csv_text(["v"], [table(values)]) == "v\n" + expected
+
+
 def test_pinning_grid_matches_reference(base_params):
     grid = scan_pinning_region(base_params, resolution=37)
     assert np.isnan(grid.pinned_s_c[-1, 0])   # the 0/0 corner

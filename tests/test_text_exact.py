@@ -170,11 +170,11 @@ def test_coded_columns_across_many_blocks(monkeypatch):
     np.array([], dtype=float),
 ])
 def test_coded_number_cells_equal_their_texts(values):
-    texts = text_mod._texts(values)
-    cells_ = text_mod._cells(values)
-    reference = text_mod._text_cells(texts)
-    assert (cells_.shape, cells_.tobytes()) == (reference.shape,
-                                                reference.tobytes())
+    texts = cells(values)
+    words = text_mod._cell_words(values)
+    reference = text_mod._cell_words(texts)
+    assert (words.shape, words.tobytes()) == (reference.shape,
+                                              reference.tobytes())
     codes = np.arange(len(values))[::-1]
     assert cells(text_mod.table(values, codes)) == texts[::-1]
     outer, inner = text_mod.grid_axes(values, values[:3])

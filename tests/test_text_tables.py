@@ -3,15 +3,17 @@ break, the `,`, the sign and the decimal point are marks XORed into pad
 bytes, never table bytes."""
 
 import numpy as np
+import pytest
 
 from zdtrade import _text
 
+TABLES = ("mid", "last", "frac")
+
 
 def test_word_tables_hold_no_punctuation():
-    tables = _text._tables()
-    assert tables
-    for name, words in tables.items():
-        data = np.asarray(words).view(np.uint8)
+    for name in TABLES:
+        data = np.asarray(_text._table(name)).view(np.uint8)
+        assert data.size, name
         assert not np.isin(data, np.frombuffer(b",-.\n", np.uint8)).any(), name
         assert np.isin(data, np.frombuffer(b"0123456789\xff", np.uint8)).all()
 
@@ -28,10 +30,11 @@ def test_word_tables_equal_the_division_built_tables(monkeypatch):
         for got, want in zip(_text._digits(n), division_digits(n)):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert np.array_equal(got, want)
-    tables = _text._tables.__wrapped__()
+    tables = {name: _text._table.__wrapped__(name) for name in TABLES}
     monkeypatch.setattr(_text, "_digits", division_digits)
-    reference = _text._tables.__wrapped__()
-    assert list(tables) == list(reference) == ["mid", "last", "frac"]
-    for name, words in reference.items():
+    for name in TABLES:
+        words = _text._table.__wrapped__(name)
         assert tables[name].dtype == words.dtype, name
         assert tables[name].tobytes() == words.tobytes(), name
+    with pytest.raises(KeyError):       # the three are all the tables
+        _text._table.__wrapped__("units")
