@@ -4,13 +4,15 @@
 become dicts of their fields, arrays and tuples lists, numpy scalars Python
 numbers, and with `strict` every NaN or infinity becomes None.
 
-A CSV value prints by one scalar rule: a float as `%.12g` (nan, inf,
--inf, -0), an integer as `%d`, a boolean as false/true, anything else by
-`str`.  An array column applies it by its numpy dtype kind through the word
-tables below; the names of a `table` given as a list or tuple (the
-key/value CSV's keys and values, a trace's state names) print one by one
-through `_scalar_text`, as do the few fallback cells of an array.  Nothing
-depends on the locale, so reruns are byte-identical.
+A CSV value prints by one scalar rule, `_scalar_text`: a float as
+`%.12g` (nan, inf, -inf, -0), an integer as `%d`, a boolean as false/true,
+anything else by `str`.  Only numeric data columns (float and integer
+arrays) apply it through the word tables below.  Every name table, given
+as a list, tuple or array (the key/value CSV's keys and values, a trace's
+state names and payoffs, a grid's axes), and every fallback cell of a
+column (a number the word tables do not print, any cell of another dtype
+kind) print one value at a time through `_scalar_text`.  Nothing depends
+on the locale, so reruns are byte-identical.
 
 `csv_blocks` renders BLOCK_ROWS rows at a time into one uint32 buffer,
 held transposed so that each word column is written by one contiguous
@@ -67,14 +69,14 @@ def fmt_float(x: float) -> str:
 
 def _scalar_text(value) -> str:
     """The CSV text of one value by the scalar rule."""
+    if isinstance(value, (float, np.floating)):  # first: axes are floats
+        return fmt_float(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
     return str(value)
 
 
@@ -254,26 +256,18 @@ def _integer_cells(v: np.ndarray):
 
 
 def _cell_words(names) -> np.ndarray:
-    """(words, len(names)) uint32 cells of `names`, each behind a pad byte
-    and padded with _PAD.  An array's names print by its dtype's rule: its
-    cells are the rows of its `_fill` buffer without the line break, their
-    pad bytes moved to the end.  Other names print by the scalar rule."""
+    """(words, len(names)) uint32 cells of `names`, a list, tuple or array:
+    the `_scalar_text` of each name behind a pad byte, padded with _PAD to
+    whole words.  Every name table and every fallback cell is built here;
+    only numeric data columns use the word tables.  Text holds no pad byte,
+    so no cell needs packing."""
     if isinstance(names, np.ndarray):
-        raw = _fill([_lookups(_column(names), 0, len(names))], len(names))
-        raw = np.ascontiguousarray(raw.T).view(np.uint8)[:, 1:]
-        keep = raw != _PAD
-        count = keep.sum(axis=1)
-        cells = np.full((len(raw), count.max(initial=0)), _PAD, np.uint8)
-        cells[np.arange(cells.shape[1]) < count[:, None]] = raw[keep]
-    else:
-        raw = [_scalar_text(n).encode() for n in names]
-        width = max(map(len, raw), default=0)
-        cells = np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw),
-                              np.uint8).reshape(len(raw), width)
-    n, width = cells.shape
-    out = np.full((n, -(-(width + 1) // 4) * 4), _PAD, np.uint8)
-    out[:, 1:width + 1] = cells
-    return np.ascontiguousarray(out.view(np.uint32).T)
+        names = names.tolist()
+    raw = [_scalar_text(n).encode() for n in names]
+    width = -(-(max(map(len, raw), default=0) + 1) // 4) * 4
+    cells = b"".join(b"\xff" + r.ljust(width - 1, b"\xff") for r in raw)
+    return np.ascontiguousarray(
+        np.frombuffer(cells, np.uint32).reshape(len(raw), width // 4).T)
 
 
 _NO_CELLS = _cell_words(())
@@ -315,9 +309,9 @@ def table(names, codes=None) -> Coded:
 def grid_axes(outer, inner) -> tuple[Coded, Coded]:
     """The two axis columns of a row-major 2-D grid, coded per block."""
     n, size = len(inner), len(outer) * len(inner)
-    return (Coded(_cell_words(np.asarray(outer)), size,
+    return (Coded(_cell_words(outer), size,
                   lambda start, stop: np.arange(start, stop) // n),
-            Coded(_cell_words(np.asarray(inner)), size,
+            Coded(_cell_words(inner), size,
                   lambda start, stop: np.arange(start, stop) % n))
 
 
@@ -345,7 +339,8 @@ def _lookups(col, start: int, stop: int):
         return _float_cells(values)
     if values.dtype.kind in "iu":
         return _integer_cells(values)
-    return [], np.arange(len(values)), [str(v) for v in values.tolist()], []
+    texts = list(map(_scalar_text, values.tolist()))
+    return [], np.arange(len(values)), texts, []
 
 
 def _fill(parts, rows: int) -> np.ndarray:

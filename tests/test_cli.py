@@ -603,12 +603,15 @@ def test_closed_pipe_ends_quietly(tmp_path):
         [sys.executable, "-m", "zdtrade.cli", "scan-pin", "--config", cfg],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src))
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()                 # the reader stops, as `head` does
+    assert len(proc.stdout.read(64)) == 64
+    proc.stdout.close()                 # the reader stops, as `head -c 64` does
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err and "Error" not in err
+    assert "Exception ignored" not in err
+    # the summary line alone: nothing is reported about the closed pipe
     assert err.startswith("pinning scan 301x301: ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 # --- front end ----------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say,
+and its CLI section matches the front end."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from zdtrade import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +31,11 @@ def test_library_example_prints_its_comments(capsys):
     for said, out in promised:
         assert list(map(_value, out.split())) == pytest.approx(
             list(map(_value, said)), rel=1e-12), out
+
+
+def test_cli_section_matches_the_front_end():
+    usage, commands = re.search(
+        r"## CLI\n\n```\n(.*?)```\n\n`COMMAND` is one of (.*?);",
+        README.read_text(), re.S).groups()
+    assert usage == cli._USAGE
+    assert re.findall(r"`([a-z-]+)`", commands) == list(cli._HANDLERS)

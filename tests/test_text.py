@@ -46,7 +46,8 @@ INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
 STRS = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\x00"), max_size=6)
 KINDS = {"float": (FLOATS, float), "bool": (st.booleans(), bool),
-         "int": (INTS, np.int64), "str": (STRS, str)}
+         "int": (INTS, np.int64), "str": (STRS, str),
+         "object": (st.one_of(FLOATS, st.booleans(), INTS, STRS), object)}
 
 
 @st.composite
@@ -66,7 +67,7 @@ def test_columns_match_per_value_formatting(columns, block_rows):
     expected_cells = {
         "float": lambda x: f"{x:.12g}",
         "bool": lambda x: "true" if x else "false",
-        "int": str, "str": str,
+        "int": str, "str": str, "object": ref_value,
     }
     rows = zip(*[[expected_cells[kind](v) for v in values]
                  for kind, values in columns])
