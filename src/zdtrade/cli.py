@@ -16,8 +16,8 @@ options, so every token after it is positional.  A usage error is returned
 as exit code 2, with the usage text on stderr, not raised as SystemExit.
 
 Exit codes: 0 success, 2 config/usage error (also an artifact or trace file
-that cannot be written), 3 invalid or degenerate parameters (also a
-negative seed), 4 a scan produced an empty feasible set.
+that cannot be written), 3 any other library error: invalid or degenerate
+parameters (also a negative seed), 4 a scan produced an empty feasible set.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import numpy as np
 
 from ._text import csv_blocks, fmt_float, plain, table
 from .collector import check_collector_extortion, check_collector_pinning
-from .errors import (BaselineDegenerateError, ConfigError,
-                     DegenerateParameterError, InvalidParameterError,
-                     NonUniqueStationaryError)
+from .errors import (ConfigError, InvalidParameterError,
+                     NonUniqueStationaryError, ZdTradeError)
 from .extortion import (MAX_GRID_NUM, ExtortionParams, build_extortion_strategy,
                         scan_extortion_region, verify_extortion_relation)
 from .markov import CollectorStrategy, ProviderStrategy
@@ -237,10 +236,7 @@ def _cmd_extort(args, cfg, params):
     ext = ExtortionParams(l1=float(section["l1"]), l2=float(section["l2"]),
                           chi=float(section["chi"]),
                           phi=None if phi is None else float(phi),
-                          phi_sign=section.get("phi_sign", 1))
-    if ext.phi_sign != section.get("phi_sign", ext.phi_sign):
-        raise InvalidParameterError(f"phi_sign {section['phi_sign']:+d} "
-                                    f"contradicts the sign of phi {phi!r}")
+                          phi_sign=section.get("phi_sign"))
     sol = build_extortion_strategy(params, ext)
     payload = sol.as_dict()
     trials = section.get("trials", 0)
@@ -455,8 +451,8 @@ def main(argv=None) -> int:
             sys.stdout.write(_HELP)
             return 0
         cfg = _load_config(args.config)
-        params = GameParams.from_mapping(
-            _require(cfg, "game", *_SCHEMA["game"]))
+        game = _require(cfg, "game", *_SCHEMA["game"])
+        params = GameParams(**{k: float(v) for k, v in game.items()})
         if args.strict_ordering:
             _enforce_ordering(params)
         summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
@@ -491,12 +487,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParameterError, DegenerateParameterError,
-            BaselineDegenerateError) as exc:
+    except ZdTradeError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 3
-    except NonUniqueStationaryError as exc:
-        print(f"degenerate chain: {exc}", file=sys.stderr)
         return 3
 
 

@@ -65,14 +65,16 @@ class ExtortionParams:
     chi > 1 is the extortion factor; l1, l2 > 0 the payoff baselines.
     phi scales the strategy column and may take either sign; leave it
     None to let the constructor pick the midpoint of the admissible
-    range on the side given by phi_sign.
+    range on the side given by phi_sign.  phi_sign None means "not
+    given": it becomes the sign of phi, or +1 when phi is None.  A given
+    phi_sign must be +1 or -1 and agree with the sign of phi.
     """
 
     l1: float
     l2: float
     chi: float
     phi: float | None = None
-    phi_sign: int = 1
+    phi_sign: int | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.l1) or self.l1 <= 0:
@@ -81,12 +83,18 @@ class ExtortionParams:
             raise InvalidParameterError(f"l2 must be > 0, got {self.l2!r}")
         if not np.isfinite(self.chi) or self.chi <= 1:
             raise InvalidParameterError(f"chi must be > 1, got {self.chi!r}")
-        if self.phi is not None:
-            if not np.isfinite(self.phi) or self.phi == 0:
-                raise InvalidParameterError(f"phi must be nonzero, got {self.phi!r}")
-            object.__setattr__(self, "phi_sign", 1 if self.phi > 0 else -1)
-        else:
+        if self.phi is not None and (not np.isfinite(self.phi) or self.phi == 0):
+            raise InvalidParameterError(f"phi must be nonzero, got {self.phi!r}")
+        if self.phi_sign is not None:
             _check_phi_sign(self.phi_sign)
+        sign = self.phi_sign or 1
+        if self.phi is not None:
+            sign = 1 if self.phi > 0 else -1
+            if self.phi_sign not in (None, sign):
+                raise InvalidParameterError(
+                    "phi_sign %+d contradicts the sign of phi %r"
+                    % (self.phi_sign, self.phi))
+        object.__setattr__(self, "phi_sign", sign)
 
 
 class ChiBounds(NamedTuple):

@@ -343,10 +343,11 @@ def irreducible_payoffs(p, qs, params: GameParams,
 
 def expected_payoffs_many(p, qs, params: GameParams):
     """Batched expected payoffs (s_p, s_c) against many collector strategies;
-    raises if any chain is reducible (`irreducible_payoffs` drops those)."""
+    raises if any chain is reducible (`irreducible_payoffs` drops those).
+    Both are copies, so the scratch block is freed on return."""
     reducible, s_p, s_c = irreducible_payoffs(p, qs, params)
     _refuse_reducible(reducible)
-    return s_p, s_c
+    return s_p.copy(), s_c.copy()
 
 
 def reducible_mask(p, qs, params: GameParams) -> np.ndarray:

@@ -37,7 +37,6 @@ class StateIndex(IntEnum):
 STATE_NAMES = ("CC", "CD", "DC", "DD")
 
 _CURRENCY_FIELDS = ("c_p", "c_c", "c_p1", "c_c1", "c_p2", "c_c2")
-_PARAM_FIELDS = _CURRENCY_FIELDS + ("e1", "e2")
 
 # A solved strategy entry may overshoot [0, 1] by this much and still count
 # as feasible (pinning then clamps it); region boundaries are
@@ -56,7 +55,10 @@ def check_unit_interval(**values) -> None:
 
 
 def check_count(name, value, low, high) -> None:
-    """Raise InvalidParameterError unless low <= value <= high."""
+    """Raise InvalidParameterError unless value is an integer (not a bool)
+    with low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
         raise InvalidParameterError(f"{name} must be in [{low}, {high}], got {value}")
 
@@ -116,21 +118,6 @@ class GameParams:
                     f"{name} must be a finite positive amount, got {value!r}"
                 )
         check_unit_interval(e1=self.e1, e2=self.e2)
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "GameParams":
-        """Build from a flat key/value mapping, rejecting unknown keys."""
-        unknown = set(mapping) - set(_PARAM_FIELDS)
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown game parameter keys: {sorted(unknown)}"
-            )
-        missing = set(_PARAM_FIELDS) - set(mapping)
-        if missing:
-            raise InvalidParameterError(
-                f"missing game parameter keys: {sorted(missing)}"
-            )
-        return cls(**{k: float(mapping[k]) for k in _PARAM_FIELDS})
 
     as_dict = plain
 

@@ -49,6 +49,21 @@ def test_payoffs_json_artifact(tmp_path, capsys):
     assert payload["ordering"]["u_c_cd_dd_dc"] is False
 
 
+@pytest.mark.parametrize("c_p1, kind, flags", [
+    (6, "privacy-sensitive", (False, True)),    # c_p < c_p1
+    (5, "balanced", (False, False)),            # c_p == c_p1
+])
+def test_payoffs_classifies_the_provider(tmp_path, capsys, c_p1, kind, flags):
+    cfg = write_config(tmp_path, game={"c_p": 5, "c_c": 5, "c_p1": c_p1,
+                                       "c_c1": 2, "c_p2": 3, "c_c2": 3,
+                                       "e1": 0.3, "e2": 0.5})
+    assert main(["payoffs", "--config", cfg, "--format", "json"]) == 0
+    out = capsys.readouterr()
+    assert out.err.endswith(f"\nprovider is {kind}\n")
+    ordering = json.loads(out.out)["ordering"]
+    assert (ordering["data_valued"], ordering["privacy_sensitive"]) == flags
+
+
 def test_missing_key_exit_2(tmp_path, capsys):
     cfg = {"game": {"c_p": 5, "c_c": 5, "c_p1": 2, "c_c1": 2, "c_p2": 3,
                     "c_c2": 3, "e1": 0.3}}

@@ -223,6 +223,13 @@ def test_verify_refuses_infeasible(base_params):
     good = build_extortion_strategy(base_params, ext)
     with pytest.raises(InvalidParameterError, match="seed"):
         verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
+    # trials must be an integer (2.5 used to stop inside numpy)
+    for trials in (2.5, 1e4, True):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^trials must be an integer, got {trials!r}$"):
+            verify_extortion_relation(good, base_params, ext, trials=trials)
+    assert verify_extortion_relation(good, base_params, ext,
+                                     trials=np.int64(3), rng=0).trials == 3
 
 
 def _pinning_solution(p) -> ExtortionSolution:
@@ -301,6 +308,20 @@ def test_params_validation(base_params):
         with pytest.raises(InvalidParameterError, match="phi_sign"):
             check(base_params, 1, 2, 0)
     assert ExtortionParams(l1=1, l2=2, chi=1.5, phi=-0.2).phi_sign == -1
+    # phi_sign None means "not given": the sign of phi, else +1
+    assert ExtortionParams(1, 2, 1.5).phi_sign == 1
+    assert ExtortionParams(1, 2, 1.5, phi_sign=-1).phi_sign == -1
+    assert ExtortionParams(1, 2, 1.5, phi=-0.1, phi_sign=-1).phi_sign == -1
+    assert ExtortionParams(1, 2, 1.5, phi_sign=1) == ExtortionParams(1, 2, 1.5)
+    # a given sign that contradicts phi is refused, not overwritten
+    for phi, phi_sign, text in ((0.1, -1, "-1"), (-0.1, 1, "+1"),
+                                (0.1, -1.0, "-1")):
+        with pytest.raises(InvalidParameterError) as info:
+            ExtortionParams(1, 2, 1.5, phi=phi, phi_sign=phi_sign)
+        assert str(info.value) == (f"phi_sign {text} contradicts the sign "
+                                   f"of phi {phi!r}")
+    with pytest.raises(InvalidParameterError, match="phi_sign must be"):
+        ExtortionParams(1, 2, 1.5, phi=0.1, phi_sign=0)
 
 
 # --- noise-space scan -----------------------------------------------------------

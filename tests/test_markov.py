@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +531,24 @@ def test_expected_payoffs_many_matches_scalar(base_params):
         r = expected_payoffs(p, qs[k], base_params)
         assert sp[k] == pytest.approx(r.s_p, abs=1e-12)
         assert sc[k] == pytest.approx(r.s_c, abs=1e-12)
+
+
+def test_expected_payoffs_many_frees_its_scratch(base_params):
+    # the results own their data: no view keeps the (10, n) workspace alive
+    rng = np.random.default_rng(32)
+    p = rng.uniform(0.05, 0.95, 4)
+    qs = rng.uniform(0.05, 0.95, (20_000, 2))
+    _, want_p, want_c = irreducible_payoffs(p, qs, base_params)
+    tracemalloc.start()
+    try:
+        got = expected_payoffs_many(p, qs, base_params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for array, want in zip(got, (want_p, want_c)):
+        assert array.flags.owndata and array.base is None
+        assert array.tobytes() == want.tobytes()
+    assert held < 3 * 8 * len(qs)     # two results; the workspace is 10 rows
 
 
 # --- strategy types ---------------------------------------------------------

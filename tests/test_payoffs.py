@@ -121,14 +121,10 @@ def test_boundary_noise_is_valid():
     GameParams(5, 5, 2, 2, 3, 3, 0.0, 1.0)  # construction ok, e2=1 rejected later
 
 
-def test_from_mapping_round_trip(base_params):
-    again = GameParams.from_mapping(base_params.as_dict())
-    assert again == base_params
-    with pytest.raises(InvalidParameterError, match="e2"):
-        GameParams.from_mapping({k: v for k, v in base_params.as_dict().items()
-                                 if k != "e2"})
-    with pytest.raises(InvalidParameterError, match="bogus"):
-        GameParams.from_mapping({**base_params.as_dict(), "bogus": 1})
+def test_params_round_trip_through_dict(base_params):
+    # the CLI builds the game this way once its config has refused missing
+    # and unknown keys (test_cli: test_missing_key_exit_2, test_unknown_key_exit_2)
+    assert GameParams(**base_params.as_dict()) == base_params
 
 
 def test_ordering_report_flat_bool_map(base_params):

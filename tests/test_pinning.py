@@ -249,6 +249,12 @@ def test_scan_resolution_two_is_corners(base_params):
     assert grid.reason(1, 0) == "pinned_value_undefined_at_p1_1_p4_0"
     with pytest.raises(InvalidParameterError):
         scan_pinning_region(base_params, resolution=1)
+    # a resolution must be an integer (10.5 used to stop inside numpy)
+    for resolution in (10.5, 1e4, True):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^resolution must be an integer, "
+                                 rf"got {resolution!r}$"):
+            scan_pinning_region(base_params, resolution=resolution)
 
 
 @pytest.mark.parametrize("resolution", [10**12, MAX_RESOLUTION + 1])

@@ -1,5 +1,5 @@
 """The README's library example runs and prints what its comments say,
-and its CLI section matches the front end."""
+and its CLI section and config table match the front end."""
 
 import re
 from pathlib import Path
@@ -39,3 +39,14 @@ def test_cli_section_matches_the_front_end():
         README.read_text(), re.S).groups()
     assert usage == cli._USAGE
     assert re.findall(r"`([a-z-]+)`", commands) == list(cli._HANDLERS)
+
+
+def test_config_table_matches_the_schema():
+    table = re.search(r"\| section \| key \| JSON type \|\n\|---\|---\|---\|\n"
+                      r"((?:\|.*\n)+)", README.read_text()).group(1)
+    keys, section = {}, None
+    for row in table.splitlines():
+        name, names = row.split("|")[1:3]
+        section = name.strip().strip("`") or section
+        keys.setdefault(section, set()).update(re.findall(r"`(\w+)`", names))
+    assert keys == {name: set(spec) for name, spec in cli._SCHEMA.items()}

@@ -234,6 +234,13 @@ def test_config_validation(base_params):
         SimConfig(params=base_params, p=p, q=q, rounds=100, seed=1, burn_in=100)
     with pytest.raises(InvalidParameterError, match="seed"):
         SimConfig(params=base_params, p=p, q=q, rounds=100, seed=-1)
+    # a count must be an integer: 1e4 used to pass and fail in play_rounds
+    for rounds in (1e4, 10.5, True):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^rounds must be an integer, got {rounds!r}$"):
+            SimConfig(params=base_params, p=p, q=q, rounds=rounds, seed=1)
+    with pytest.raises(InvalidParameterError, match="burn_in must be an integer"):
+        SimConfig(params=base_params, p=p, q=q, rounds=100, seed=1, burn_in=2.5)
 
 
 def test_payoff_average_agrees_with_dot_product(mixed_config):
