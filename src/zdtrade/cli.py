@@ -33,8 +33,9 @@ from ._text import csv_blocks, fmt_float, plain, table
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (ConfigError, InvalidParameterError,
                      NonUniqueStationaryError, ZdTradeError)
-from .extortion import (MAX_GRID_NUM, ExtortionParams, build_extortion_strategy,
-                        scan_extortion_region, verify_extortion_relation)
+from .extortion import (MAX_GRID_NUM, ExtortionParams, _phi_side,
+                        build_extortion_strategy, scan_extortion_region,
+                        verify_extortion_relation)
 from .markov import CollectorStrategy, ProviderStrategy
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       check_count, validate_ordering)
@@ -141,13 +142,15 @@ def _require(cfg: dict, name: str, *keys: str) -> dict:
 
 def _grid(section: dict, key: str) -> np.ndarray:
     """Noise axis from a typed e1_grid/e2_grid value, 10 points over [0, 0.9]
-    when absent; `num` is refused above its ceiling before linspace allocates."""
+    when absent; `num` is refused above its ceiling before linspace allocates,
+    and the scan judges the values (a non-finite bound gives NaN, quietly)."""
     spec = section.get(key) or {"num": 10, "max": 0.9}
     if isinstance(spec, list):
         return np.asarray([float(x) for x in spec])
     check_count(f"{key}.num", spec["num"], 2, MAX_GRID_NUM)
-    return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]),
-                       spec["num"])
+    with np.errstate(all="ignore"):
+        return np.linspace(float(spec.get("min", 0.0)), float(spec["max"]),
+                           spec["num"])
 
 
 def _write(path: str, write) -> None:
@@ -262,7 +265,8 @@ def _cmd_extort(args, cfg, params):
 def _cmd_scan_extort(args, cfg, params):
     section = _require(cfg, "extortion", "l1", "l2")
     l1, l2 = float(section["l1"]), float(section["l2"])
-    phi_sign = section.get("phi_sign", 1)
+    phi, phi_sign = section.get("phi"), section.get("phi_sign")
+    phi_sign = _phi_side(None if phi is None else float(phi), phi_sign)
     chi_probe = section.get("chi_probe")
     e1_grid, e2_grid = _grid(section, "e1_grid"), _grid(section, "e2_grid")
     grid = scan_extortion_region(params, l1, l2, e1_grid, e2_grid,

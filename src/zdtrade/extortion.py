@@ -58,6 +58,20 @@ def _check_phi_sign(phi_sign) -> None:
         raise InvalidParameterError(f"phi_sign must be +1 or -1, got {phi_sign!r}")
 
 
+def _phi_side(phi, phi_sign) -> int:
+    """+1 or -1: phi_sign if given (it must agree with the sign of phi), else
+    the sign of phi, else +1.  A given phi must be finite and nonzero."""
+    if phi is not None and (not np.isfinite(phi) or phi == 0):
+        raise InvalidParameterError(f"phi must be nonzero, got {phi!r}")
+    if phi_sign is not None:
+        _check_phi_sign(phi_sign)
+    sign = (phi_sign or 1) if phi is None else (1 if phi > 0 else -1)
+    if phi_sign not in (None, sign):
+        raise InvalidParameterError(
+            "phi_sign %+d contradicts the sign of phi %r" % (phi_sign, phi))
+    return sign
+
+
 @dataclass(frozen=True)
 class ExtortionParams:
     """Baselines and shape of the enforced payoff relation.
@@ -66,8 +80,7 @@ class ExtortionParams:
     phi scales the strategy column and may take either sign; leave it
     None to let the constructor pick the midpoint of the admissible
     range on the side given by phi_sign.  phi_sign None means "not
-    given": it becomes the sign of phi, or +1 when phi is None.  A given
-    phi_sign must be +1 or -1 and agree with the sign of phi.
+    given"; the constructor sets it to the side of phi (`_phi_side`).
     """
 
     l1: float
@@ -83,18 +96,7 @@ class ExtortionParams:
             raise InvalidParameterError(f"l2 must be > 0, got {self.l2!r}")
         if not np.isfinite(self.chi) or self.chi <= 1:
             raise InvalidParameterError(f"chi must be > 1, got {self.chi!r}")
-        if self.phi is not None and (not np.isfinite(self.phi) or self.phi == 0):
-            raise InvalidParameterError(f"phi must be nonzero, got {self.phi!r}")
-        if self.phi_sign is not None:
-            _check_phi_sign(self.phi_sign)
-        sign = self.phi_sign or 1
-        if self.phi is not None:
-            sign = 1 if self.phi > 0 else -1
-            if self.phi_sign not in (None, sign):
-                raise InvalidParameterError(
-                    "phi_sign %+d contradicts the sign of phi %r"
-                    % (self.phi_sign, self.phi))
-        object.__setattr__(self, "phi_sign", sign)
+        object.__setattr__(self, "phi_sign", _phi_side(self.phi, self.phi_sign))
 
 
 class ChiBounds(NamedTuple):
@@ -119,8 +121,8 @@ def baseline_gap(u_c, l2, state) -> float:
 
 def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
     """Ratio bounds (lower, upper) from per-state payoffs (four broadcastable
-    entries each, see `payoff_arrays`), both NaN where `flat` marks a
-    denominator u_c(state) - l2 within DENOM_TOL of 0."""
+    entries each, see `payoff_arrays`), both NaN where a denominator
+    u_c(state) - l2 is within DENOM_TOL of 0."""
     _check_phi_sign(phi_sign)
     states = _RATIO_STATES[phi_sign]
     denom = [u_c[s] - l2 for s in states]
@@ -129,7 +131,7 @@ def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
         lower, upper = (np.divide(u_p[s] - l1, d, where=~flat,
                                   out=np.full(np.shape(flat), np.nan))
                         for s, d in zip(states, denom))
-    return lower, upper, flat
+    return lower, upper
 
 
 def chi_bounds(params: GameParams, l1: float, l2: float,
@@ -142,7 +144,7 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
     """
     check_finite(l1=l1, l2=l2)
     pv = build_payoffs(params)
-    lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
+    lower, upper = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
     for state in _RATIO_STATES[phi_sign]:
         baseline_gap(pv.u_c, l2, state)
     return ChiBounds(float(lower), float(upper), bool(lower <= upper and upper > 1))
@@ -312,7 +314,7 @@ def build_extortion_strategy(params: GameParams,
         p4 = (phi * x[3] - e2 * p3) / (1 - e2)
     p = (float(p1), float(p2), float(p3), float(p4))
     feasible = all(-BOUNDARY_TOL <= v <= 1 + BOUNDARY_TOL for v in p)
-    lower, upper, _ = _ratio_bounds(pv.u_p, pv.u_c, ext.l1, ext.l2, ext.phi_sign)
+    lower, upper = _ratio_bounds(pv.u_p, pv.u_c, ext.l1, ext.l2, ext.phi_sign)
     return ExtortionSolution(
         p=p, feasible=feasible, chi=ext.chi, phi=float(phi),
         chi_lower=float(lower), chi_upper=float(upper), phi_range=phi_range,
@@ -351,7 +353,6 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     max_residual = 0.0
     discarded = 0
     remaining = trials
-    corners_checked = False
     draws = np.empty((min(trials, VERIFY_PASS), 2))
     work = Workspace()
     while remaining > 0:
@@ -364,12 +365,10 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
         s_p -= s_c
         max_residual = float(np.max(np.abs(s_p, out=s_p), initial=max_residual))
         remaining -= s_p.size
-        if not s_p.size and not corners_checked:
-            corners_checked = True
-            if reducible_mask(strategy, _CORNERS, params).all():
-                raise InvalidParameterError(
-                    "the strategy pins the chain for every opponent: it is "
-                    "reducible at all four corner opponents q in {0, 1}^2")
+        if not s_p.size and reducible_mask(strategy, _CORNERS, params).all():
+            raise InvalidParameterError(
+                "the strategy pins the chain for every opponent: it is "
+                "reducible at all four corner opponents q in {0, 1}^2")
         if discarded > 100 * trials:
             raise InvalidParameterError(
                 f"too many reducible draws ({discarded} discarded for "
@@ -380,14 +379,14 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
 
 @dataclass(frozen=True, eq=False)
 class ExtortionGrid:
-    """Noise-space scan of chi bounds and feasibility, indexed [i_e1, i_e2]."""
+    """Noise-space scan of chi bounds and feasibility, indexed [i_e1, i_e2];
+    a bound is NaN where its ratio denominator degenerates."""
 
     e1_axis: np.ndarray
     e2_axis: np.ndarray
     chi_lower: np.ndarray
     chi_upper: np.ndarray
     feasible: np.ndarray
-    reason_code: np.ndarray        # 0 ok, 1 degenerate ratio denom, 2 no chi
     probe_feasible: np.ndarray | None
     chi_probe: float | None
 
@@ -422,8 +421,8 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     """Scan noise space for where an extortionate strategy exists.
 
     One batched evaluation over the whole (e1, e2) grid: payoffs at every
-    cell, the printed ratio bounds (nan + reason code when a ratio
-    denominator degenerates), and `feasible` from the exact chi interval
+    cell, the printed ratio bounds (NaN where a ratio denominator
+    degenerates), and `feasible` from the exact chi interval
     intersected with chi > 1.  With chi_probe set, also report per cell
     whether that specific factor admits an admissible phi.  Cells match
     the scalar functions at their noise levels.  `jobs` is accepted for
@@ -447,19 +446,15 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
                 f"{name} values must be finite and lie in [0, 1)")
     e2 = e2_axis[None, :]
     u_p, u_c = payoff_arrays(params_base, e1_axis[:, None], e2)
-    chi_lo, chi_hi, flat = _ratio_bounds(u_p, u_c, l1, l2, phi_sign)
+    chi_lo, chi_hi = _ratio_bounds(u_p, u_c, l1, l2, phi_sign)
     rows = _row_constraints(u_p, u_c, l1, l2, e2, phi_sign)
     del u_p, u_c   # frees the DD payoff grids: only the rows are read on
     lo, hi, nonempty = _chi_interval(*rows)
     feasible = nonempty & (hi > 1)
-    code = np.full(feasible.shape, 2, np.int8)
-    np.copyto(code, 0, where=feasible)
-    np.copyto(code, 1, where=flat)
     probe = None if chi_probe is None else (
         feasible & (lo <= chi_probe) & (chi_probe <= hi) & (chi_probe > 1)
         & _admissible(*rows, chi_probe))
     return ExtortionGrid(
         e1_axis=e1_axis, e2_axis=e2_axis, chi_lower=chi_lo, chi_upper=chi_hi,
-        feasible=feasible, reason_code=code, probe_feasible=probe,
-        chi_probe=chi_probe,
+        feasible=feasible, probe_feasible=probe, chi_probe=chi_probe,
     )

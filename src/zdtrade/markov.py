@@ -278,7 +278,8 @@ def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
     m = build_transition_matrix(p, q, params)
     v = stationary_distribution(m)
     pv = build_payoffs(params)
-    return StationaryResult(v, float(v @ pv.u_p), float(v @ pv.u_c))
+    with np.errstate(all="ignore"):     # 0 * inf is NaN near float max
+        return StationaryResult(v, float(v @ pv.u_p), float(v @ pv.u_c))
 
 
 def _cofactors(p, qs, params: GameParams,

@@ -16,7 +16,7 @@ mask).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -123,11 +123,8 @@ class GameParams:
 
     def replace_noise(self, e1=None, e2=None) -> "GameParams":
         """Copy with one or both noise levels replaced."""
-        return GameParams(
-            self.c_p, self.c_c, self.c_p1, self.c_c1, self.c_p2, self.c_c2,
-            self.e1 if e1 is None else e1,
-            self.e2 if e2 is None else e2,
-        )
+        return replace(self, e1=self.e1 if e1 is None else e1,
+                       e2=self.e2 if e2 is None else e2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +163,11 @@ def payoff_arrays(params: GameParams, e1, e2):
                u_c(DD) = (1-e1) c_c + (1-e1) c_c1 - (1-e2) c_c2
     """
     g, one1, one2 = params, 1 - e1, 1 - e2
-    u_p = (np.float64(g.c_p), g.c_p - g.c_p1 + one2 * g.c_p2, one1 * g.c_p,
-           one1 * g.c_p - one1 * g.c_p1 + one2 * g.c_p2)
-    u_c = (np.float64(g.c_c), g.c_c + g.c_c1 - one2 * g.c_c2, one1 * g.c_c,
-           one1 * g.c_c + one1 * g.c_c1 - one2 * g.c_c2)
+    with np.errstate(all="ignore"):     # amounts near float max: inf, quietly
+        u_p = (np.float64(g.c_p), g.c_p - g.c_p1 + one2 * g.c_p2, one1 * g.c_p,
+               one1 * g.c_p - one1 * g.c_p1 + one2 * g.c_p2)
+        u_c = (np.float64(g.c_c), g.c_c + g.c_c1 - one2 * g.c_c2, one1 * g.c_c,
+               one1 * g.c_c + one1 * g.c_c1 - one2 * g.c_c2)
     return u_p, u_c
 
 

@@ -39,8 +39,9 @@ def _pinning_constants(params: GameParams):
     check_e2_below_one(params.e2)
     u_c = build_payoffs(params).u_c
     b = float(u_c[0])
-    a = float((u_c[3] - params.e2 * u_c[2]) / (1 - params.e2))
-    d1 = float(u_c[0] - u_c[3] - params.e2 * (u_c[0] - u_c[2]))
+    with np.errstate(all="ignore"):     # amounts near float max: inf or NaN
+        a = float((u_c[3] - params.e2 * u_c[2]) / (1 - params.e2))
+        d1 = float(u_c[0] - u_c[3] - params.e2 * (u_c[0] - u_c[2]))
     if abs(d1) <= DENOM_TOL:
         raise DegenerateParameterError(
             f"pinning denominator D1 = {d1!r} is degenerate for these parameters"
@@ -60,17 +61,17 @@ def _solve_cells(p1, p4, u_c, a, b, d1, e2):
     shape = np.broadcast(p1, p4).shape
     corner = (p1 == 1.0) & (p4 == 0.0)
     pinned = np.empty(shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.add(a * (1 - p1), b * p4, out=pinned)
-        pinned /= 1 - p1 + p4
-    np.copyto(pinned, np.nan, where=corner)
     p23 = np.empty((2, *shape))
     p2, p3 = p23[0, ...], p23[1, ...]     # `...` keeps 0-d halves arrays
-    np.add((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1,
-           (u_c[0] - u_c[1]) * (1 + p4), out=p2)
-    np.add((u_c[3] - u_c[2]) * (1 - p1),
-           (u_c[0] - u_c[2]) * (1 - e2) * p4, out=p3)
-    p23 /= d1
+    with np.errstate(all="ignore"):   # 0/0 at the corner; inf or NaN near float max
+        np.add(a * (1 - p1), b * p4, out=pinned)
+        pinned /= 1 - p1 + p4
+        np.add((u_c[1] - u_c[3] + e2 * (u_c[2] - u_c[0])) * p1,
+               (u_c[0] - u_c[1]) * (1 + p4), out=p2)
+        np.add((u_c[3] - u_c[2]) * (1 - p1),
+               (u_c[0] - u_c[2]) * (1 - e2) * p4, out=p3)
+        p23 /= d1
+    np.copyto(pinned, np.nan, where=corner)
     ok = p23 >= -BOUNDARY_TOL
     ok &= p23 <= 1 + BOUNDARY_TOL
     feasible = ok[0] & ok[1]

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -588,6 +590,93 @@ def test_extort_contradicting_phi_sign_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2, "chi": 1.5,
                                             "phi": -0.1, "phi_sign": -1})
     assert main(["extort", "--config", cfg]) == 0
+
+
+def test_phi_without_phi_sign_picks_one_side_in_every_command(tmp_path,
+                                                              capsys):
+    ext = {"l1": 1, "l2": 2, "chi": 1.5, "phi": -0.1}
+    implicit = write_config(tmp_path, "implicit.json", extortion=ext)
+    explicit = write_config(tmp_path, "explicit.json",
+                            extortion=dict(ext, phi_sign=-1))
+    artifacts = {}
+    for command in ("extort", "scan-extort"):
+        for name, cfg in (("implicit", implicit), ("explicit", explicit)):
+            out = tmp_path / f"{command}-{name}.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) in (0, 4)
+            artifacts[command, name] = out.read_bytes()
+        assert artifacts[command, "implicit"] == artifacts[command, "explicit"]
+    summaries = capsys.readouterr().out.splitlines()
+    assert "phi_sign=-1" in summaries[2] and "phi_sign=-1" in summaries[3]
+
+
+@pytest.mark.parametrize("command", ["extort", "scan-extort"])
+@pytest.mark.parametrize("phi, phi_sign, message", [
+    (-0.1, 1, "phi_sign +1 contradicts the sign of phi -0.1"),
+    (0.1, -1, "phi_sign -1 contradicts the sign of phi 0.1"),
+    (0, None, "phi must be nonzero, got 0.0"),
+])
+def test_phi_side_errors_exit_3_in_every_command(tmp_path, capsys, command,
+                                                 phi, phi_sign, message):
+    ext = {"l1": 1, "l2": 2, "chi": 1.5, "phi": phi}
+    if phi_sign is not None:
+        ext["phi_sign"] = phi_sign
+    cfg = write_config(tmp_path, extortion=ext)
+    assert main([command, "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.err == f"invalid parameters: {message}\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("axis", [{"num": 5, "max": float("inf")},
+                                  {"num": 5, "min": -1e308, "max": 1e308}])
+def test_non_finite_grid_bound_exit_3_quietly(tmp_path, capsys, axis):
+    cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2, "e1_grid": axis})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan-extort", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.err == ("invalid parameters: e1_grid values must be finite "
+                       "and lie in [0, 1)\n")
+
+
+_HUGE = {"c_c": 1e308, "c_c1": 1e308, "c_c2": 1e308, "e1": 0, "e2": 0}
+
+
+@pytest.mark.parametrize("command, game, section", [
+    ("pin", {"c_c1": 1e308}, {"pinning": {"p1": 0, "p4": 1}}),
+    ("pin", {"c_c1": 1e308, "e1": 0}, {"pinning": {"p1": 0.5, "p4": 0.5}}),
+    ("scan-pin", {"c_c1": 1e308}, {"pinning": {"resolution": 11}}),
+    ("scan-extort", _HUGE, {"extortion": {"l1": 1, "l2": 2}}),
+    ("simulate", _HUGE, {"simulation": {"rounds": 1000, "p": [0, 0, 0, 0],
+                                        "q": [0.3, 0.7]}}),
+], ids=["pin-solve", "pin-constants", "scan-pin", "scan-extort", "simulate"])
+def test_games_near_float_max_run_without_warnings(tmp_path, command, game,
+                                                   section):
+    # inf and NaN flow into the verdicts: infeasible cells, null, a flag
+    base = json.loads(open(write_config(tmp_path)).read())["game"]
+    cfg = write_config(tmp_path, game=dict(base, **game), **section)
+    out = tmp_path / "artifact.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--format", "json",
+                     "--out", str(out)]) in (0, 4)
+    json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, pinning={"resolution": 5})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = io.TextIOWrapper(io.FileIO(write_end, "wb"))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["scan-pin", "--config", cfg]) == 0
+    finally:
+        stdout.close()
+    # the summary alone: the artifact's BrokenPipeError is not reported
+    assert capsys.readouterr().err == (
+        "pinning scan 5x5: 9 of 25 cells feasible; pinned payoff range "
+        "[3.86666666667, 5] within [A=3.3, B=5].\n")
 
 
 def _peak(argv) -> int:

@@ -376,16 +376,14 @@ def test_scan_degenerate_ratio_cells_marked(base_params):
     # feasibility is still decided (division-free conditions)
     grid = scan_extortion_region(base_params, 1, 3.4, np.array([0.2, 0.3, 0.4]),
                                  np.array([0.4, 0.5]))
-    assert grid.reason_code[1, 1] == 1
     assert np.isnan(grid.chi_lower[1, 1]) and np.isnan(grid.chi_upper[1, 1])
-    assert grid.reason_code[0, 0] != 1
+    assert np.isfinite(grid.chi_lower[0, 0]) and np.isfinite(grid.chi_upper[0, 0])
 
 
 def test_scan_empty_region_with_hostile_baselines(base_params):
     grid = scan_extortion_region(base_params, 6, 10, np.linspace(0, 0.8, 5),
                                  np.linspace(0, 0.8, 5))
     assert grid.feasible_count == 0
-    assert np.all(grid.reason_code[grid.reason_code != 1] >= 0)
 
 
 def test_scan_probe_column(base_params):
@@ -462,12 +460,13 @@ def test_scan_axis_must_be_finite(base_params):
 def reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign, chi_probe):
     """The region scan as a per-cell loop, as it was first written: payoffs,
     ratio bounds, exact chi interval and the chi_probe sign test, one cell
-    at a time.  Returns an ExtortionGrid."""
+    at a time.  Returns an ExtortionGrid and the mask of the cells whose
+    ratio denominator degenerates."""
     g = params
     shape = (len(e1_axis), len(e2_axis))
     bounds = np.full(shape + (2,), np.nan)
     feasible = np.zeros(shape, dtype=bool)
-    code = np.zeros(shape, dtype=np.int8)
+    degenerate = np.zeros(shape, dtype=bool)
     probe = np.zeros(shape, dtype=bool)
     for i, e1 in enumerate(map(float, e1_axis)):
         for j, e2 in enumerate(map(float, e2_axis)):
@@ -480,7 +479,7 @@ def reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign, chi_probe):
             states = (0, 3) if phi_sign > 0 else (2, 1)
             denoms = [u_c[s] - l2 for s in states]
             if any(abs(d) <= 1e-12 for d in denoms):
-                code[i, j] = 1
+                degenerate[i, j] = True
             else:
                 bounds[i, j] = [(u_p[s] - l1) / d for s, d in zip(states, denoms)]
             a, b = u_p - l1, u_c - l2
@@ -498,34 +497,32 @@ def reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign, chi_probe):
                     lo = max(lo, alpha / beta)
             ok = ok and not lo > hi and hi > 1
             feasible[i, j] = ok
-            if not ok and code[i, j] == 0:
-                code[i, j] = 2
             if (chi_probe is not None and ok and lo <= chi_probe <= hi
                     and chi_probe > 1):
                 probe[i, j] = all(not sign * (alpha - chi_probe * beta) < 0
                                   for alpha, beta, sign in rows)
     return ExtortionGrid(
         np.asarray(e1_axis, dtype=float), np.asarray(e2_axis, dtype=float),
-        bounds[..., 0], bounds[..., 1], feasible, code,
-        probe if chi_probe is not None else None, chi_probe)
+        bounds[..., 0], bounds[..., 1], feasible,
+        probe if chi_probe is not None else None, chi_probe), degenerate
 
 
 def assert_scan_matches_reference(params, l1, l2, e1_axis, e2_axis,
                                   chi_probe=None):
-    """Both phi signs: CSV, bounds (bit for bit), reason codes and the
-    probe column equal the per-cell loop's."""
+    """Both phi signs: CSV, bounds (bit for bit, NaN exactly where the loop
+    finds a degenerate ratio denominator) and the probe column equal the
+    per-cell loop's."""
     grids = []
     for phi_sign in (1, -1):
         grid = scan_extortion_region(params, l1, l2, e1_axis, e2_axis,
                                      phi_sign=phi_sign, chi_probe=chi_probe)
-        ref = reference_scan(params, l1, l2, e1_axis, e2_axis, phi_sign,
-                             chi_probe)
+        ref, degenerate = reference_scan(params, l1, l2, e1_axis, e2_axis,
+                                         phi_sign, chi_probe)
         assert csv_of(grid) == csv_of(ref)
         for name in ("chi_lower", "chi_upper"):
             assert np.array_equal(getattr(grid, name).view(np.int64),
                                   getattr(ref, name).view(np.int64)), name
-        assert grid.reason_code.dtype == ref.reason_code.dtype
-        assert np.array_equal(grid.reason_code, ref.reason_code)
+            assert np.array_equal(np.isnan(getattr(grid, name)), degenerate)
         if chi_probe is None:
             assert grid.probe_feasible is None
         else:
@@ -556,7 +553,7 @@ def test_scan_matches_per_cell_loop_with_flat_cc_row(base_params, l1):
     axis = np.linspace(0, 0.9, 10)
     grids = assert_scan_matches_reference(base_params, l1, base_params.c_c,
                                           axis, axis, chi_probe=1.5)
-    assert np.all(grids[0].reason_code == 1)
+    assert np.all(np.isnan(grids[0].chi_lower) & np.isnan(grids[0].chi_upper))
 
 
 def test_scan_matches_per_cell_loop_on_degenerate_denominators(base_params):
@@ -564,7 +561,7 @@ def test_scan_matches_per_cell_loop_on_degenerate_denominators(base_params):
                  (np.linspace(0, 0.9, 10), np.linspace(0, 0.9, 10))):
         grids = assert_scan_matches_reference(base_params, 1, 3.4, *axes,
                                               chi_probe=1.5)
-        assert np.any(grids[0].reason_code == 1)
+        assert np.any(np.isnan(grids[0].chi_lower))
 
 
 def test_scan_matches_per_cell_loop_with_hostile_baselines(base_params):

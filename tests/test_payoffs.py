@@ -159,3 +159,17 @@ def test_check_seed_refuses_negative(seed):
     with pytest.raises(InvalidParameterError,
                        match=re.escape(f"seed must be >= 0, got {seed!r}")):
         check_seed(seed)
+
+
+def test_replace_noise_changes_only_the_noise(base_params):
+    assert base_params.replace_noise() == base_params
+    for noise in ({"e1": 0.1}, {"e2": 0.2}, {"e1": 0.1, "e2": 0.2}):
+        moved = base_params.replace_noise(**noise)
+        assert moved.as_dict() == dict(base_params.as_dict(), **noise)
+    # refused as the constructor refuses it, with its message
+    for noise in ({"e1": 1.5}, {"e2": -0.1}):
+        with pytest.raises(InvalidParameterError) as info:
+            base_params.replace_noise(**noise)
+        with pytest.raises(InvalidParameterError) as direct:
+            GameParams(**dict(base_params.as_dict(), **noise))
+        assert str(info.value) == str(direct.value)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,8 +82,9 @@ def test_columns_match_per_value_formatting(columns, block_rows):
 
 
 def test_table_columns_format_each_name_by_its_type():
-    values = (1.5, True, 7, "x", -0.0, math.nan)
-    assert csv_text(["v"], [table(values)]) == "v\n1.5\ntrue\n7\nx\n-0\nnan\n"
+    values = (1.5, True, 7, "x", -0.0, math.nan, Fraction(1, 3), 1 + 2j)
+    assert csv_text(["v"], [table(values)]) == (
+        "v\n1.5\ntrue\n7\nx\n-0\nnan\n1/3\n(1+2j)\n")   # the rest by str
     assert csv_text(["s"], [table(STATE_NAMES, [3, 0, 3])]) == "s\nDD\nCC\nDD\n"
 
 
