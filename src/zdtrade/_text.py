@@ -394,7 +394,10 @@ def _blocks(head: bytes, cols: list, rows: int) -> Iterator[bytes]:
 
 def _block(cols: list, start: int, stop: int) -> bytes:
     """Rows start:stop as bytes; neither the buffer nor the block outlives
-    its write, so the next block reuses their memory."""
+    its write.  The next block reuses their memory only where glibc keeps
+    freed blocks of this size in the heap, as it does once `cli.main` has
+    fixed its mmap and trim thresholds; at glibc's start values each is
+    unmapped and faulted in again."""
     buf = _fill([_lookups(c, start, stop) for c in cols], stop - start)
     return buf.T.tobytes().translate(None, b"\xff")
 

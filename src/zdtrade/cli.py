@@ -18,10 +18,14 @@ as exit code 2, with the usage text on stderr, not raised as SystemExit.
 Exit codes: 0 success, 2 config/usage error (also an artifact or trace file
 that cannot be written), 3 any other library error: invalid or degenerate
 parameters (also a negative seed), 4 a scan produced an empty feasible set.
+
+`main` first fixes glibc's heap thresholds for its whole process
+(`_settle_heap`); importing this module sets nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import sys
@@ -259,6 +263,10 @@ def _cmd_extort(args, cfg, params):
                f"chi bounds [{fmt_float(sol.chi_lower)}, "
                f"{fmt_float(sol.chi_upper)}]{verified}.")
     pairs = dict(payload, **{f"p{i+1}": x for i, x in enumerate(sol.p)})
+    if sol.phi_range is not None:
+        pairs["phi_range_lower"], pairs["phi_range_upper"] = sol.phi_range
+    pairs.update((f"verification_{k}", v)
+                 for k, v in payload.get("verification", {}).items())
     return summary, payload, sorted(pairs.items()), 0
 
 
@@ -331,7 +339,7 @@ def _cmd_simulate(args, cfg, params):
                     f"{fmt_float(comparison.max_abs_z)}"
                     + (" (FLAGGED)" if comparison.flagged else ""))
     except NonUniqueStationaryError:
-        payload["comparison"] = None
+        comparison = payload["comparison"] = None
         compared = "; analytic comparison skipped (reducible chain)"
     freqs = ", ".join(f"{STATE_NAMES[k]}={fmt_float(result.state_frequencies[k])}"
                       for k in range(4))
@@ -343,7 +351,15 @@ def _cmd_simulate(args, cfg, params):
              ("s_c", result.s_c), ("se_s_c", result.se_s_c)]
     pairs += [(f"freq_{STATE_NAMES[k]}", float(result.state_frequencies[k]))
               for k in range(4)]
+    pairs += [(f"se_freq_{STATE_NAMES[k]}", float(result.se_frequencies[k]))
+              for k in range(4)]
     pairs.append(("rounds_used", result.rounds_used))
+    if comparison is not None:
+        pairs += [(f"z_freq_{STATE_NAMES[k]}",
+                   float(comparison.z_frequencies[k])) for k in range(4)]
+        pairs += [("z_s_p", comparison.z_s_p), ("z_s_c", comparison.z_s_c),
+                  ("max_abs_z", comparison.max_abs_z),
+                  ("flagged", comparison.flagged)]
     return summary, payload, pairs, 0
 
 
@@ -448,7 +464,30 @@ def _parse_args(argv):
         jobs=given.get("jobs", 1), strict_ordering="strict-ordering" in given)
 
 
+def _settle_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    These are the values glibc's dynamic rule reaches in a long-running
+    process (its 64-bit ceiling, and twice that), so a short run starts
+    where a long one ends.  At glibc's 128 KiB start values every freed
+    block buffer of a few MB goes back to the kernel and the next block
+    faults it in again; at these it is reused from the heap.  The setting
+    holds for the whole process.  Off glibc (no `mallopt`) it is a no-op.
+    `ctypes` is already loaded by numpy; `ctypes.util` is not used because
+    it can spawn `ldconfig`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)               # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)               # M_TRIM_THRESHOLD
+    except (OSError, TypeError, AttributeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _settle_heap()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:

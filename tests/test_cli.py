@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -568,6 +569,76 @@ def test_key_value_artifact_bytes(tmp_path, capsysbinary, command, fmt):
         assert isinstance(json.loads(data), dict)
 
 
+def _scalar_cells(value) -> list:
+    """The key/value CSV cells that print the JSON value `value` by the
+    scalar rule; strict JSON writes NaN and the infinities as null."""
+    if isinstance(value, bool):
+        return ["true" if value else "false"]
+    if isinstance(value, int):
+        return ["%d" % value]
+    if isinstance(value, float):
+        return ["%.12g" % value]
+    return ["nan", "inf", "-inf"] if value is None else [value]
+
+
+def _flat_json(command: str, data: dict) -> dict:
+    """Each key/value CSV key of `command` mapped to its value in the JSON
+    artifact `data`."""
+    states = ("CC", "CD", "DC", "DD")
+    if command == "extort":
+        flat = {f"p{i + 1}": x for i, x in enumerate(data["p"])}
+        flat.update((k, v) for k, v in data.items() if k != "p")
+        if data["phi_range"] is not None:
+            flat["phi_range_lower"], flat["phi_range_upper"] = data["phi_range"]
+        flat.update((f"verification_{k}", v)
+                    for k, v in data.get("verification", {}).items())
+        return flat
+    result, comparison = data["result"], data["comparison"] or {}
+    flat = dict(result)
+    for name, values in (("freq", result["state_frequencies"]),
+                         ("se_freq", result["se_frequencies"]),
+                         ("z_freq", comparison.get("z_frequencies", []))):
+        flat.update((f"{name}_{s}", v) for s, v in zip(states, values))
+    flat.update(comparison)
+    return flat
+
+
+@pytest.mark.parametrize("command, section, nested", [
+    ("extort", {"extortion": {"l1": 1, "l2": 2, "chi": 1.5, "trials": 50}},
+     {"phi_range_lower", "phi_range_upper", "verification_trials",
+      "verification_max_residual", "verification_discarded"}),
+    ("extort", {"extortion": {"l1": 1, "l2": 2, "chi": 5.0, "trials": 50}},
+     set()),                                            # infeasible
+    ("simulate", {"simulation": {"rounds": 2000, "seed": 7,
+                                 "p": [0.9, 0.78, 0.08, 0.1],
+                                 "q": [0.3, 0.7]}},
+     {"se_freq_CC", "se_freq_CD", "se_freq_DC", "se_freq_DD", "z_freq_CC",
+      "z_freq_CD", "z_freq_DC", "z_freq_DD", "z_s_p", "z_s_c", "max_abs_z",
+      "flagged"}),
+    ("simulate", {"simulation": {"rounds": 500, "p": [1, 1, 0, 0],
+                                 "q": [1, 1]}},         # no comparison
+     {"se_freq_CC", "se_freq_CD", "se_freq_DC", "se_freq_DD"}),
+])
+def test_key_value_cells_equal_their_json_values(tmp_path, capsys, command,
+                                                 section, nested):
+    cfg = write_config(tmp_path, **section)
+    kv, js = tmp_path / "kv.csv", tmp_path / "kv.json"
+    assert main([command, "--config", cfg, "--out", str(kv)]) == 0
+    assert main([command, "--config", cfg, "--format", "json",
+                 "--out", str(js)]) == 0
+    flat = _flat_json(command, json.loads(js.read_text()))
+    rows = [line.split(",") for line in kv.read_text().splitlines()]
+    assert rows[0] == ["key", "value"]
+    cells = dict(rows[1:])
+    assert len(cells) == len(rows) - 1
+    assert [(k, c) for k, c in cells.items()
+            if k not in flat or c not in _scalar_cells(flat[k])] == []
+    # the nested results print exactly when the JSON holds them
+    assert nested <= cells.keys()
+    assert not ({"phi_range_lower", "verification_trials", "z_s_p"}
+                - nested) & cells.keys()
+
+
 # resolution 5 fails when the file is closed, 101 (~600 kB) on a write
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("resolution", [5, 101])
@@ -847,3 +918,34 @@ def test_front_end_imports_no_argparse(tmp_path):
     assert [m for m in added.split() if m != "zdtrade.cli" and m != "_json"
             and m.split(".")[0] != "json"] == []
     assert front_ends == ""
+
+
+def test_main_fixes_the_heap_thresholds(tmp_path, capsys, monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda *args: calls.append(args))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["payoffs", "--config", write_config(tmp_path)]) == 0
+    # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_libc(exc):
+    def cdll(name):
+        raise exc("no C library")
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [_no_libc(OSError), _no_libc(TypeError),
+                                  lambda name: object()],
+                         ids=["OSError", "TypeError", "no-mallopt"])
+def test_heap_policy_is_a_no_op_without_mallopt(tmp_path, capsys,
+                                                monkeypatch, cdll):
+    cfg = write_config(tmp_path, extortion={
+        "l1": 1, "l2": 2, "chi_probe": 1.5,
+        "e1_grid": {"num": 20, "max": 0.9}, "e2_grid": {"num": 20, "max": 0.9}})
+    normal, bare = tmp_path / "normal.csv", tmp_path / "bare.csv"
+    assert main(["scan-extort", "--config", cfg, "--out", str(normal)]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["scan-extort", "--config", cfg, "--out", str(bare)]) == 0
+    assert bare.read_bytes() == normal.read_bytes()
+    assert len(bare.read_text().splitlines()) == 1 + 20 * 20
