@@ -177,8 +177,9 @@ def _enforce_ordering(params: GameParams) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns (summary, json_payload, csv, exit_code),
-# where csv is (key, value) pairs or a byte writer such as `to_csv`.
+# Command handlers: each returns (summary, payload, writer, exit_code), where
+# writer is the byte writer of the CSV artifact (a grid's `to_csv`), or None
+# for a record, whose CSV is the key/value flattening of payload (`_flat`).
 # --------------------------------------------------------------------------
 
 def _cmd_payoffs(args, cfg, params):
@@ -195,11 +196,8 @@ def _cmd_payoffs(args, cfg, params):
                  + ("data-valued" if report.data_valued else
                     "privacy-sensitive" if report.privacy_sensitive else
                     "balanced"))
-    pairs = [(f"u_p_{STATE_NAMES[s]}", float(pv.u_p[s])) for s in StateIndex]
-    pairs += [(f"u_c_{STATE_NAMES[s]}", float(pv.u_c[s])) for s in StateIndex]
-    pairs += list(report.as_dict().items())
     payload = {"payoffs": pv.as_dict(), "ordering": report.as_dict()}
-    return "\n".join(lines), payload, pairs, 0
+    return "\n".join(lines), payload, None, 0
 
 
 def _cmd_pin(args, cfg, params):
@@ -221,7 +219,7 @@ def _cmd_pin(args, cfg, params):
         summary = (f"pinning at p1={fmt_float(p1)}, p4={fmt_float(p4)}: "
                    f"INFEASIBLE ({sol.reason}); solved p2={fmt_float(sol.p2)}, "
                    f"p3={fmt_float(sol.p3)}.")
-    return summary, payload, sorted(payload.items()), 0
+    return summary, payload, None, 0
 
 
 def _cmd_scan_pin(args, cfg, params):
@@ -262,12 +260,7 @@ def _cmd_extort(args, cfg, params):
                f"{verdict}; p=({', '.join(fmt_float(x) for x in sol.p)}); "
                f"chi bounds [{fmt_float(sol.chi_lower)}, "
                f"{fmt_float(sol.chi_upper)}]{verified}.")
-    pairs = dict(payload, **{f"p{i+1}": x for i, x in enumerate(sol.p)})
-    if sol.phi_range is not None:
-        pairs["phi_range_lower"], pairs["phi_range_upper"] = sol.phi_range
-    pairs.update((f"verification_{k}", v)
-                 for k, v in payload.get("verification", {}).items())
-    return summary, payload, sorted(pairs.items()), 0
+    return summary, payload, None, 0
 
 
 def _cmd_scan_extort(args, cfg, params):
@@ -307,9 +300,7 @@ def _cmd_check_collector(args, cfg, params):
             f"{'infeasible for collector' if ext_cert.holds else 'NOT RULED OUT'} "
             f"(ratio {fmt_float(ext_cert.lhs)} vs {fmt_float(ext_cert.rhs)}, "
             f"gap {fmt_float(ext_cert.gap)})")
-    pairs = [(f"{kind}_{k}", v) for kind, cert in payload.items()
-             for k, v in cert.items()]
-    return "\n".join(lines), payload, pairs, 0
+    return "\n".join(lines), payload, None, 0
 
 
 def _cmd_simulate(args, cfg, params):
@@ -339,7 +330,7 @@ def _cmd_simulate(args, cfg, params):
                     f"{fmt_float(comparison.max_abs_z)}"
                     + (" (FLAGGED)" if comparison.flagged else ""))
     except NonUniqueStationaryError:
-        comparison = payload["comparison"] = None
+        payload["comparison"] = None
         compared = "; analytic comparison skipped (reducible chain)"
     freqs = ", ".join(f"{STATE_NAMES[k]}={fmt_float(result.state_frequencies[k])}"
                       for k in range(4))
@@ -347,20 +338,7 @@ def _cmd_simulate(args, cfg, params):
                f"s_p={fmt_float(result.s_p)} +/- {fmt_float(result.se_s_p)}, "
                f"s_c={fmt_float(result.s_c)} +/- {fmt_float(result.se_s_c)}; "
                f"frequencies {freqs}{compared}.")
-    pairs = [("s_p", result.s_p), ("se_s_p", result.se_s_p),
-             ("s_c", result.s_c), ("se_s_c", result.se_s_c)]
-    pairs += [(f"freq_{STATE_NAMES[k]}", float(result.state_frequencies[k]))
-              for k in range(4)]
-    pairs += [(f"se_freq_{STATE_NAMES[k]}", float(result.se_frequencies[k]))
-              for k in range(4)]
-    pairs.append(("rounds_used", result.rounds_used))
-    if comparison is not None:
-        pairs += [(f"z_freq_{STATE_NAMES[k]}",
-                   float(comparison.z_frequencies[k])) for k in range(4)]
-        pairs += [("z_s_p", comparison.z_s_p), ("z_s_c", comparison.z_s_c),
-                  ("max_abs_z", comparison.max_abs_z),
-                  ("flagged", comparison.flagged)]
-    return summary, payload, pairs, 0
+    return summary, payload, None, 0
 
 
 _HANDLERS = {
@@ -473,17 +451,29 @@ def _settle_heap() -> None:
     block buffer of a few MB goes back to the kernel and the next block
     faults it in again; at these it is reused from the heap.  The setting
     holds for the whole process.  Off glibc (no `mallopt`) it is a no-op.
-    `ctypes` is already loaded by numpy; `ctypes.util` is not used because
-    it can spawn `ldconfig`.
+    `ctypes` is already loaded by numpy; `ctypes.pythonapi` looks `mallopt`
+    up in the process's global symbols, as `dlopen(NULL)` does, and caches
+    the function.  `ctypes.util` is not used because it can spawn `ldconfig`.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        mallopt = ctypes.pythonapi.mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
         mallopt(-3, 32 << 20)               # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)               # M_TRIM_THRESHOLD
     except (OSError, TypeError, AttributeError):
         pass
+
+
+def _flat(data, key=""):
+    """(key, value) of each leaf of the JSON data `data` that is not None,
+    in order; nested dict keys and 0-based list indices are joined by `_`."""
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for k, v in items:
+            yield from _flat(v, f"{key}_{k}" if key else str(k))
+    elif data is not None:
+        yield key, data
 
 
 def main(argv=None) -> int:
@@ -498,17 +488,15 @@ def main(argv=None) -> int:
         params = GameParams(**{k: float(v) for k, v in game.items()})
         if args.strict_ordering:
             _enforce_ordering(params)
-        summary, payload, csv, code = _HANDLERS[args.command](args, cfg, params)
+        summary, payload, write, code = _HANDLERS[args.command](
+            args, cfg, params)
         output = cfg.get("output", {})
         if (args.format or output.get("format") or "csv") == "json":
             data = (json.dumps(plain(payload, strict=True), indent=2,
                                allow_nan=False) + "\n").encode()
             write = lambda out: out.write(data)  # noqa: E731
-        elif callable(csv):
-            write = csv
-        else:
-            keys, values = zip(*[(k, v) for k, v in csv if v is not None
-                                 and not isinstance(v, (list, dict))])
+        elif write is None:
+            keys, values = zip(*_flat(plain(payload)))
             write = lambda out: out.writelines(csv_blocks(  # noqa: E731
                 ["key", "value"], [table(keys), table(values)]))
         path = args.out or output.get("path")

@@ -581,62 +581,86 @@ def _scalar_cells(value) -> list:
     return ["nan", "inf", "-inf"] if value is None else [value]
 
 
-def _flat_json(command: str, data: dict) -> dict:
-    """Each key/value CSV key of `command` mapped to its value in the JSON
-    artifact `data`."""
-    states = ("CC", "CD", "DC", "DD")
-    if command == "extort":
-        flat = {f"p{i + 1}": x for i, x in enumerate(data["p"])}
-        flat.update((k, v) for k, v in data.items() if k != "p")
-        if data["phi_range"] is not None:
-            flat["phi_range_lower"], flat["phi_range_upper"] = data["phi_range"]
-        flat.update((f"verification_{k}", v)
-                    for k, v in data.get("verification", {}).items())
-        return flat
-    result, comparison = data["result"], data["comparison"] or {}
-    flat = dict(result)
-    for name, values in (("freq", result["state_frequencies"]),
-                         ("se_freq", result["se_frequencies"]),
-                         ("z_freq", comparison.get("z_frequencies", []))):
-        flat.update((f"{name}_{s}", v) for s, v in zip(states, values))
-    flat.update(comparison)
-    return flat
+def _flat_json(data, key="") -> list:
+    """(key, value) of every leaf of the JSON value `data`, null ones too,
+    in order, by the README rule: nested keys and 0-based list indices
+    joined by `_`."""
+    if isinstance(data, dict):
+        entries = list(data.items())
+    elif isinstance(data, list):
+        entries = list(enumerate(data))
+    else:
+        return [(key, data)]
+    return [leaf for k, v in entries
+            for leaf in _flat_json(v, f"{key}_{k}" if key else f"{k}")]
 
 
+_KV_CONFIG = {
+    "pinning": {"p1": 0.9, "p4": 0.1},
+    "extortion": {"l1": 1, "l2": 2, "chi": 1.5, "trials": 50},
+    "simulation": {"rounds": 2000, "seed": 7, "p": [0.9, 0.78, 0.08, 0.1],
+                   "q": [0.3, 0.7]},
+}
+
+
+# the last item of each case: keys the CSV must print, most of them nested
 @pytest.mark.parametrize("command, section, nested", [
-    ("extort", {"extortion": {"l1": 1, "l2": 2, "chi": 1.5, "trials": 50}},
-     {"phi_range_lower", "phi_range_upper", "verification_trials",
-      "verification_max_residual", "verification_discarded"}),
+    ("extort", {}, {"p_0", "p_3", "phi_range_1", "verification_trials"}),
     ("extort", {"extortion": {"l1": 1, "l2": 2, "chi": 5.0, "trials": 50}},
-     set()),                                            # infeasible
-    ("simulate", {"simulation": {"rounds": 2000, "seed": 7,
-                                 "p": [0.9, 0.78, 0.08, 0.1],
-                                 "q": [0.3, 0.7]}},
-     {"se_freq_CC", "se_freq_CD", "se_freq_DC", "se_freq_DD", "z_freq_CC",
-      "z_freq_CD", "z_freq_DC", "z_freq_DD", "z_s_p", "z_s_c", "max_abs_z",
-      "flagged"}),
+     {"p_0", "chi_lower"}),                                 # infeasible
+    ("simulate", {}, {"config_seed", "result_se_frequencies_3",
+                      "comparison_z_frequencies_0", "comparison_max_abs_z"}),
     ("simulate", {"simulation": {"rounds": 500, "p": [1, 1, 0, 0],
-                                 "q": [1, 1]}},         # no comparison
-     {"se_freq_CC", "se_freq_CD", "se_freq_DC", "se_freq_DD"}),
+                                 "q": [1, 1]}},             # no comparison
+     {"config_seed", "result_state_frequencies_0"}),
+    ("payoffs", {}, {"payoffs_states_3", "payoffs_u_c_0",
+                     "ordering_u_p_cc_gt_cd"}),
+    ("pin", {}, {"p1", "ds_de2"}),
+    ("pin", {"pinning": {"p1": 1, "p4": 0}}, {"reason"}),   # infeasible
+    ("check-collector", {}, {"pinning_conflicting_states_1",
+                             "extortion_baselines_0"}),
 ])
 def test_key_value_cells_equal_their_json_values(tmp_path, capsys, command,
                                                  section, nested):
-    cfg = write_config(tmp_path, **section)
+    cfg = write_config(tmp_path, **dict(_KV_CONFIG, **section))
     kv, js = tmp_path / "kv.csv", tmp_path / "kv.json"
     assert main([command, "--config", cfg, "--out", str(kv)]) == 0
     assert main([command, "--config", cfg, "--format", "json",
                  "--out", str(js)]) == 0
-    flat = _flat_json(command, json.loads(js.read_text()))
+    data = json.loads(js.read_text())
     rows = [line.split(",") for line in kv.read_text().splitlines()]
     assert rows[0] == ["key", "value"]
     cells = dict(rows[1:])
     assert len(cells) == len(rows) - 1
-    assert [(k, c) for k, c in cells.items()
-            if k not in flat or c not in _scalar_cells(flat[k])] == []
-    # the nested results print exactly when the JSON holds them
+    # a null leaf prints only where it was a non-finite float, which strict
+    # JSON also writes as null; every other leaf prints, in record order
+    flat = [(k, v) for k, v in _flat_json(data) if v is not None or k in cells]
+    assert [k for k, _ in flat] == list(cells)
+    assert [(k, cells[k]) for k, v in flat
+            if cells[k] not in _scalar_cells(v)] == []
     assert nested <= cells.keys()
-    assert not ({"phi_range_lower", "verification_trials", "z_s_p"}
-                - nested) & cells.keys()
+    # a null record (simulate's comparison on a reducible chain) prints
+    # nothing under its name
+    assert not [k for k in cells for name, v in data.items()
+                if v is None and k.startswith(f"{name}_")]
+
+
+@pytest.mark.parametrize("command, options, lines", [
+    ("check-collector", [], ["pinning_conflicting_states_0,CC",
+                             "extortion_baselines_1,2"]),
+    ("simulate", ["--seed", "11"], ["config_seed,11"]),
+])
+def test_key_value_csv_keeps_lists_and_config(tmp_path, capsys, command,
+                                              options, lines):
+    cfg = write_config(tmp_path, **_KV_CONFIG)
+    assert main([command, "--config", cfg, *options]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert set(lines) <= set(text)
+    assert main([command, "--config", cfg, *options, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert text == ["key,value"] + [f"{k},{_scalar_cells(v)[0]}"
+                                    for k, v in _flat_json(data)
+                                    if v is not None]
 
 
 # resolution 5 fails when the file is closed, 101 (~600 kB) on a write
@@ -923,29 +947,31 @@ def test_front_end_imports_no_argparse(tmp_path):
 def test_main_fixes_the_heap_thresholds(tmp_path, capsys, monkeypatch):
     calls = []
     libc = SimpleNamespace(mallopt=lambda *args: calls.append(args))
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(cli.ctypes, "pythonapi", libc)
     assert main(["payoffs", "--config", write_config(tmp_path)]) == 0
     # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB
     assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 def _no_libc(exc):
-    def cdll(name):
-        raise exc("no C library")
-    return cdll
+    class NoLibc:
+        @property
+        def mallopt(self):
+            raise exc("no C library")
+    return NoLibc()
 
 
-@pytest.mark.parametrize("cdll", [_no_libc(OSError), _no_libc(TypeError),
-                                  lambda name: object()],
+@pytest.mark.parametrize("pythonapi", [_no_libc(OSError), _no_libc(TypeError),
+                                       object()],
                          ids=["OSError", "TypeError", "no-mallopt"])
 def test_heap_policy_is_a_no_op_without_mallopt(tmp_path, capsys,
-                                                monkeypatch, cdll):
+                                                monkeypatch, pythonapi):
     cfg = write_config(tmp_path, extortion={
         "l1": 1, "l2": 2, "chi_probe": 1.5,
         "e1_grid": {"num": 20, "max": 0.9}, "e2_grid": {"num": 20, "max": 0.9}})
     normal, bare = tmp_path / "normal.csv", tmp_path / "bare.csv"
     assert main(["scan-extort", "--config", cfg, "--out", str(normal)]) == 0
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(cli.ctypes, "pythonapi", pythonapi)
     assert main(["scan-extort", "--config", cfg, "--out", str(bare)]) == 0
     assert bare.read_bytes() == normal.read_bytes()
     assert len(bare.read_text().splitlines()) == 1 + 20 * 20
