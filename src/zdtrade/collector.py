@@ -12,8 +12,8 @@ certificates instead of taking it on faith.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from ._text import plain
 from .extortion import baseline_gap
 from .payoffs import (GameParams, StateIndex, build_payoffs, check_finite,
@@ -26,7 +26,7 @@ def _holds(gap: float) -> bool:
     return bool(math.isfinite(gap) and gap != 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class InfeasibilityCertificate:
     """Machine-checkable verdict that a collector-side strategy cannot exist.
 

@@ -22,11 +22,11 @@ brute-force strategy construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import record
 from ._text import csv_blocks, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import (ProviderStrategy, Workspace, irreducible_payoffs,
@@ -72,7 +72,7 @@ def _phi_side(phi, phi_sign) -> int:
     return sign
 
 
-@dataclass(frozen=True)
+@record
 class ExtortionParams:
     """Baselines and shape of the enforced payoff relation.
 
@@ -260,7 +260,7 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     return (0.0, float(phi_max)) if phi_sign > 0 else (-float(phi_max), 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class ExtortionSolution:
     """A solved extortionate strategy candidate (entries never clamped)."""
 
@@ -321,7 +321,7 @@ def build_extortion_strategy(params: GameParams,
     )
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Empirical check of the enforced relation over random opponents."""
 
@@ -377,7 +377,7 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     return VerificationReport(trials, max_residual, discarded)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ExtortionGrid:
     """Noise-space scan of chi bounds and feasibility, indexed [i_e1, i_e2];
     a bound is NaN where its ratio denominator degenerates."""

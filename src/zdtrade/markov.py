@@ -60,10 +60,9 @@ code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from ._text import plain
 from .errors import InvalidParameterError, NonUniqueStationaryError
 from .payoffs import GameParams, StateIndex, build_payoffs, check_unit_interval
@@ -76,7 +75,7 @@ REDUCIBLE_TOL = 1e-9
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # _REST[i]: states but i
 
 
-@dataclass(frozen=True)
+@record
 class ProviderStrategy:
     """Cooperation probabilities conditioned on the previous observed
     outcome, in the order Cg, Cb, Dg, Db (own action, then observation
@@ -102,7 +101,7 @@ class ProviderStrategy:
         return cls(*p)
 
 
-@dataclass(frozen=True)
+@record
 class CollectorStrategy:
     """Cooperation probabilities conditioned on the current observation
     of the provider: q1 on g (looks cooperative), q2 on b."""
@@ -262,7 +261,7 @@ def _solve(ms: np.ndarray) -> np.ndarray:
     return v / v.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StationaryResult:
     """Stationary distribution with the long-run expected payoffs."""
 
@@ -379,7 +378,7 @@ def collector_zd_column(q, e1: float) -> np.ndarray:
     return np.array([0.0, 0.0, s - 1.0, s])
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ZdColumns:
     """First three columns of the transformed balance matrix M - I.
 

@@ -16,11 +16,12 @@ mask).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import IntEnum
 
 import numpy as np
 
+from ._record import record
 from ._text import plain
 from .errors import DegenerateParameterError, InvalidParameterError
 
@@ -87,7 +88,7 @@ def check_finite(**values) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+@record
 class GameParams:
     """Trading parameters of the game.
 
@@ -127,7 +128,7 @@ class GameParams:
                        e2=self.e2 if e2 is None else e2)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PayoffVectors:
     """Per-state payoff 4-vectors, indexed by StateIndex order.
 
@@ -177,7 +178,7 @@ def build_payoffs(params: GameParams) -> PayoffVectors:
                                    payoff_arrays(params, params.e1, params.e2)))
 
 
-@dataclass(frozen=True)
+@record
 class OrderingReport:
     """Truth values of the four strict payoff-ordering chains.
 

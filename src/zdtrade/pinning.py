@@ -14,10 +14,10 @@ only when both land in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from ._text import csv_blocks, grid_axes, plain
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
@@ -87,7 +87,7 @@ def _solve_cells(p1, p4, u_c, a, b, d1, e2):
     return p2, p3, pinned, feasible, code
 
 
-@dataclass(frozen=True)
+@record
 class PinningSolution:
     """A solved pinning strategy candidate.
 
@@ -187,7 +187,7 @@ def pinning_sensitivity_noise(p1: float, p4: float,
     return (ds_de1, ds_de2)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PinningGrid:
     """Uniform inclusive grid over (p1, p4) in [0, 1]^2 with the solved
     pinning data per cell.  2-D arrays are indexed [i_p1, i_p4]."""

@@ -33,11 +33,11 @@ trace's CSV written to a file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from ._record import record
 from ._text import csv_blocks, plain, table
 from .markov import CollectorStrategy, ProviderStrategy, expected_payoffs
 from .payoffs import (GameParams, PayoffVectors, STATE_NAMES, StateIndex,
@@ -63,7 +63,7 @@ _IDENTITY = 0b11100100
 MAX_ROUNDS = 16_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     """Everything a run needs; equal configs give bit-identical traces."""
 
@@ -81,7 +81,7 @@ class SimConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trace:
     """A run's trace.  `states` holds the entry state, then the state after
     each round (rounds + 1 int8 StateIndex codes); `provider_obs_g` and
@@ -115,7 +115,7 @@ class Trace:
              table(self.payoffs.u_p, state), table(self.payoffs.u_c, state)]))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SimResult:
     """Post-burn-in averages with batch-means standard errors."""
 
@@ -327,7 +327,7 @@ def play_rounds(config: SimConfig, collect_trace: bool = False):
     return result, Trace(seq, provider_obs_g, collector_obs_g, payoff)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ComparisonReport:
     """z-scores of a simulation against the closed-form stationary values."""
 

@@ -1,21 +1,35 @@
-"""One JSON record rule: `plain` and every record's `as_dict`."""
+"""The records: how `zdtrade._record.record` builds them, and the one JSON
+record rule, `plain` and every record's `as_dict`."""
 
+import copy
+import inspect
 import json
 import math
-from dataclasses import dataclass
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
+                         is_dataclass)
 
 import numpy as np
+import pytest
 
+import zdtrade
 from zdtrade import (CollectorStrategy, ComparisonReport, ExtortionGrid,
-                     ExtortionParams, GameParams, PayoffVectors, PinningGrid,
-                     ProviderStrategy, SimConfig, SimResult, StationaryResult,
-                     Trace, ZdColumns, build_extortion_strategy, build_payoffs,
+                     ExtortionParams, GameParams, InvalidParameterError,
+                     PayoffVectors, PinningGrid, ProviderStrategy, SimConfig,
+                     SimResult, StationaryResult, Trace, ZdColumns,
+                     build_extortion_strategy, build_payoffs,
                      check_collector_extortion, check_collector_pinning,
                      compare_to_analytic,
-                     expected_payoffs, play_rounds,
-                     solve_pinning, validate_ordering,
-                     verify_extortion_relation)
+                     expected_payoffs, play_rounds, scan_extortion_region,
+                     scan_pinning_region, solve_pinning, validate_ordering,
+                     verify_extortion_relation, zd_columns)
 from zdtrade._text import plain
+
+RECORDS = [name for name in zdtrade.__all__
+           if is_dataclass(getattr(zdtrade, name))]
 
 
 @dataclass(frozen=True)
@@ -100,3 +114,93 @@ def test_array_records_compare_by_identity(base_params):
     same = GameParams(5, 5, 2, 2, 3, 3, 0.3, 0.5)
     assert base_params is not same
     assert base_params == same and hash(base_params) == hash(same)
+
+
+def test_import_compiles_no_record_methods():
+    # @dataclass(frozen=True) would compile each generated method with exec,
+    # 92 for these records; `record` lets dataclass generate nothing (Python
+    # 3.13 still execs one empty batch per class)
+    src = os.path.dirname(os.path.dirname(zdtrade.__file__))
+    code = ("import sys, dataclasses, numpy\n"
+            "count = [0]\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and sys._getframe(1).f_code"
+            ".co_filename.endswith('dataclasses.py'):\n"
+            "        count[0] += 1\n"
+            "sys.addaudithook(hook)\n"
+            "import zdtrade\n"
+            "print(count[0], sum(dataclasses.is_dataclass(getattr(zdtrade, n))"
+            " for n in zdtrade.__all__))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    compiled, records = map(int, proc.stdout.split())
+    assert records == len(RECORDS) == 18
+    assert compiled <= records
+
+
+def _instances(base_params):
+    """One instance of every record, by class name; the value records hold
+    no NaN, so that a copy equals its original."""
+    p, q = ProviderStrategy(0.6, 0.5, 0.4, 0.3), CollectorStrategy(0.5, 0.5)
+    ext = ExtortionParams(l1=1, l2=2, chi=1.5)
+    sol = build_extortion_strategy(base_params, ext)
+    config = SimConfig(base_params, p, q, rounds=200, seed=3)
+    result, trace = play_rounds(config, collect_trace=True)
+    axis = np.linspace(0, 0.9, 3)
+    records = [
+        base_params, p, q, ext, sol, config, result, trace,
+        verify_extortion_relation(sol, base_params, ext, trials=20, rng=0),
+        build_payoffs(base_params),
+        validate_ordering(build_payoffs(base_params)),
+        check_collector_extortion(base_params, 1.0, 2.0),
+        expected_payoffs(p, q, base_params), zd_columns(p, q, base_params),
+        compare_to_analytic(result, p, q, base_params),
+        solve_pinning(0.9, 0.1, base_params),
+        scan_pinning_region(base_params, resolution=3),
+        scan_extortion_region(base_params, 1.0, 2.0, axis, axis,
+                              chi_probe=1.5),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name, base_params):
+    cls = getattr(zdtrade, name)
+    obj = _instances(base_params)[name]
+    names = [f.name for f in fields(cls)]
+    assert names == list(cls.__annotations__)           # annotation order
+    for target in (names[0], names[-1], "not_a_field"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, target, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, target)
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)]
+    shown = ", ".join(f"{n}={getattr(obj, n)!r}" for n in names)
+    assert repr(obj) == f"{name}({shown})"
+    if cls.__eq__ is not object.__eq__:                 # a value record
+        for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+
+
+def test_constructor_errors(base_params):
+    m = {f.name: getattr(base_params, f.name) for f in fields(GameParams)}
+    assert GameParams(**m) == base_params
+    for bad in ({**m, "c_p3": 1.0}, {k: v for k, v in m.items() if k != "e2"}):
+        with pytest.raises(TypeError):
+            GameParams(**bad)
+    with pytest.raises(TypeError):
+        GameParams(*m.values(), 0.5)                    # one too many
+    with pytest.raises(TypeError):
+        GameParams(*m.values(), e2=0.5)                 # e2 twice
+    with pytest.raises(InvalidParameterError):
+        base_params.replace_noise(e1=1.5)               # validated again
+    # __post_init__ sets phi_sign past the frozen __setattr__
+    assert ExtortionParams(1, 2, 1.5).phi_sign == 1
+    assert ExtortionParams(1, 2, 1.5, phi=-0.01).phi_sign == -1
+    assert ExtortionParams(1, 2, 1.5, -0.01) == ExtortionParams(
+        l1=1, l2=2, chi=1.5, phi=-0.01, phi_sign=-1)
