@@ -6,9 +6,11 @@ compilations, most of the time `import zdtrade` would take.  `record` lets
 `dataclass` compute the fields and add nothing else, then installs the
 methods below, written once and shared by every record:
 
-* `__init__` binds positional and keyword arguments in field order, fills
-  the defaults, sets each field with `object.__setattr__` and calls
-  `__post_init__`; a missing, unknown or extra argument is a `TypeError`.
+* `__init__` sets each field with `object.__setattr__` and calls
+  `__post_init__`.  A call that is not one positional argument per field
+  is bound by the class's `__signature__`, which fills the defaults; a
+  missing, unknown, doubled or extra argument is a `TypeError` naming the
+  class.
 * `__repr__` prints `Name(field=value, ...)`.
 * `__setattr__` and `__delattr__` raise `dataclasses.FrozenInstanceError`.
 * `__eq__` and `__hash__` compare and hash the tuple of field values, as
@@ -26,52 +28,18 @@ import operator
 from dataclasses import FrozenInstanceError
 
 _set = object.__setattr__
-_REQUIRED = object()     # the default of a field that has none
 
 
 class _Spec:
     """What the shared methods need to know of one record class, computed
     once when the class is decorated."""
 
-    __slots__ = ("cls", "names", "index", "template", "required", "post_init",
-                 "values")
+    __slots__ = ("names", "post_init", "values")
 
     def __init__(self, cls, fields):
-        self.cls = cls
         self.names = tuple(f.name for f in fields)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.template = tuple(_REQUIRED if f.default is dataclasses.MISSING
-                              else f.default for f in fields)
-        # a field without a default never follows one (the signature checks)
-        self.required = self.template.count(_REQUIRED)
         self.post_init = getattr(cls, "__post_init__", None)
         self.values = operator.attrgetter(*self.names)
-
-    def bind(self, args, kwargs) -> list:
-        """The field values of the call `cls(*args, **kwargs)`, in field
-        order, or a TypeError naming what is wrong with the call."""
-        n = len(args)
-        if n > len(self.names):
-            self._refuse(f"takes {len(self.names)} positional arguments "
-                         f"but {n} were given")
-        values = [*args, *self.template[n:]]
-        given = n
-        for name, value in kwargs.items():
-            i = self.index.get(name)
-            if i is None:
-                self._refuse(f"got an unexpected keyword argument {name!r}")
-            if i < n:
-                self._refuse(f"got multiple values for argument {name!r}")
-            values[i] = value
-            given += i < self.required
-        if given < self.required:
-            self._refuse("missing required arguments: " + ", ".join(
-                repr(name) for name, value in zip(self.names, values)
-                if value is _REQUIRED))
-        return values
-
-    def _refuse(self, problem: str):
-        raise TypeError(f"{self.cls.__qualname__}() {problem}")
 
 
 def record(cls=None, /, *, eq=True):
@@ -81,13 +49,14 @@ def record(cls=None, /, *, eq=True):
         return lambda cls: record(cls, eq=eq)
     cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     fields = dataclasses.fields(cls)
-    spec = cls._record = _Spec(cls, fields)
+    cls._record = _Spec(cls, fields)
     cls.__signature__ = inspect.Signature(
-        [inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
                            annotation=f.type,
                            default=(inspect.Parameter.empty
-                                    if default is _REQUIRED else default))
-         for name, f, default in zip(spec.names, fields, spec.template)],
+                                    if f.default is dataclasses.MISSING
+                                    else f.default))
+         for f in fields],
         return_annotation=None)
     params = cls.__dataclass_params__
     params.init = params.repr = params.frozen = True
@@ -103,9 +72,15 @@ def record(cls=None, /, *, eq=True):
 
 
 def _init(self, *args, **kwargs):
-    spec = type(self)._record
+    cls = type(self)
+    spec = cls._record
     if kwargs or len(args) != len(spec.names):
-        args = spec.bind(args, kwargs)
+        try:
+            bound = cls.__signature__.bind(*args, **kwargs)
+        except TypeError as error:
+            raise TypeError(f"{cls.__qualname__}() {error}") from None
+        bound.apply_defaults()
+        args = bound.args
     for name, value in zip(spec.names, args):
         _set(self, name, value)
     if spec.post_init is not None:

@@ -50,6 +50,15 @@ class InfeasibilityCertificate:
     as_dict = plain
 
 
+def _certificate(kind, lhs, rhs, violations, baselines=None):
+    """The certificate that the CC and CD sides, lhs and rhs, differ.  It
+    passes one argument per field, the records' fast path: the
+    impossibility sweeps build one per parameter draw."""
+    gap = lhs - rhs
+    return InfeasibilityCertificate(kind, ("CC", "CD"), lhs, rhs, gap,
+                                    _holds(gap), violations, baselines)
+
+
 def check_collector_pinning(params: GameParams) -> InfeasibilityCertificate:
     """Certificate that the collector cannot pin the provider's payoff.
 
@@ -62,11 +71,7 @@ def check_collector_pinning(params: GameParams) -> InfeasibilityCertificate:
     rhs = float(pv.u_p[StateIndex.CD])
     report = validate_ordering(pv)
     violations = () if report.u_p_cc_gt_cd else ("u_p_cc_gt_cd",)
-    return InfeasibilityCertificate(
-        kind="pinning", conflicting_states=("CC", "CD"),
-        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=_holds(lhs - rhs),
-        ordering_violations=violations,
-    )
+    return _certificate("pinning", lhs, rhs, violations)
 
 
 def check_collector_extortion(params: GameParams, l1: float,
@@ -91,8 +96,5 @@ def check_collector_extortion(params: GameParams, l1: float,
                               ("u_c_cd_cc_dc", report.u_c_cd_cc_dc))
         if not ok
     )
-    return InfeasibilityCertificate(
-        kind="extortion", conflicting_states=("CC", "CD"),
-        lhs=lhs, rhs=rhs, gap=lhs - rhs, holds=_holds(lhs - rhs),
-        ordering_violations=violations, baselines=(float(l1), float(l2)),
-    )
+    return _certificate("extortion", lhs, rhs, violations,
+                        (float(l1), float(l2)))

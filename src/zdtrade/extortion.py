@@ -29,16 +29,15 @@ import numpy as np
 from ._record import record
 from ._text import csv_blocks, grid_axes, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
-from .markov import (ProviderStrategy, Workspace, irreducible_payoffs,
-                     reducible_mask)
+from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
                       build_payoffs, check_count, check_e2_below_one,
                       check_finite, check_seed, payoff_arrays)
 
-# Verification draws at most VERIFY_PASS opponents per pass into one draw
-# buffer and one markov.Workspace, both made once per call: ~103 bytes per
-# pass opponent at peak (tracemalloc, 1e5 trials), so memory is O(pass) and
-# flat in trials; the ceiling bounds run time.
+# Verification draws at most VERIFY_PASS opponents per pass and frees the
+# pass's arrays before the next: ~101 bytes per pass opponent at peak
+# (tracemalloc, 1e5 trials), so memory is O(pass) and flat in trials; the
+# ceiling bounds run time.
 VERIFY_PASS = 16384
 MAX_TRIALS = 5_000_000
 # The reducibility test's cofactor sum den = 1 - cc + dc is affine in the
@@ -48,23 +47,27 @@ _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 # A scan peaks at ~70 bytes per (e1, e2) cell, and its CSV, written block by
 # block, does not raise that peak from 400^2 cells up (tracemalloc, 400^2 to
-# 1600^2; at 200^2 the CSV's fixed block buffer lifts it to ~128):
+# 1600^2; at 200^2 the CSV's fixed block buffer lifts it to 122-127):
 # MAX_GRID_NUM points per axis keep one scan under ~0.5 GB.
 MAX_GRID_NUM = 2700
 
 
 def _check_phi_sign(phi_sign) -> None:
-    if phi_sign not in (1, -1):
+    if (isinstance(phi_sign, bool)
+            or not isinstance(phi_sign, (int, np.integer))
+            or phi_sign not in (1, -1)):
         raise InvalidParameterError(f"phi_sign must be +1 or -1, got {phi_sign!r}")
 
 
 def _phi_side(phi, phi_sign) -> int:
-    """+1 or -1: phi_sign if given (it must agree with the sign of phi), else
-    the sign of phi, else +1.  A given phi must be finite and nonzero."""
+    """+1 or -1 as an int: phi_sign if given (it must agree with the sign of
+    phi), else the sign of phi, else +1.  A given phi must be finite and
+    nonzero."""
     if phi is not None and (not np.isfinite(phi) or phi == 0):
         raise InvalidParameterError(f"phi must be nonzero, got {phi!r}")
     if phi_sign is not None:
         _check_phi_sign(phi_sign)
+        phi_sign = int(phi_sign)
     sign = (phi_sign or 1) if phi is None else (1 if phi > 0 else -1)
     if phi_sign not in (None, sign):
         raise InvalidParameterError(
@@ -342,30 +345,32 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
     Refused when more than 100 x trials draws are discarded, or at once
     when a pass keeps no draw and the chain is reducible at every corner
     opponent, hence at every opponent.  The caller controls
-    reproducibility by passing a seed or Generator.
+    reproducibility by passing a seed (an integer >= 0) or a Generator;
+    None draws from fresh entropy.
     """
     if not sol.feasible:
         raise InvalidParameterError("cannot verify an infeasible solution")
     check_count("trials", trials, 1, MAX_TRIALS)
-    check_seed(rng)
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        check_seed(rng)
     rng = np.random.default_rng(rng)
     strategy = sol.strategy
     max_residual = 0.0
     discarded = 0
     remaining = trials
-    draws = np.empty((min(trials, VERIFY_PASS), 2))
-    work = Workspace()
     while remaining > 0:
-        qs = rng.random(out=draws[:min(remaining, VERIFY_PASS)])
-        bad, s_p, s_c = irreducible_payoffs(strategy, qs, params, work)
+        qs = rng.random((min(remaining, VERIFY_PASS), 2))
+        bad, s_p, s_c = irreducible_payoffs(strategy, qs, params)
         discarded += int(bad.sum())
+        kept = s_p.size
         s_p -= ext.l1   # |(s_p - l1) - chi (s_c - l2)|, in place
         s_c -= ext.l2
         s_c *= ext.chi
         s_p -= s_c
         max_residual = float(np.max(np.abs(s_p, out=s_p), initial=max_residual))
-        remaining -= s_p.size
-        if not s_p.size and reducible_mask(strategy, _CORNERS, params).all():
+        del qs, bad, s_p, s_c   # s_p, s_c hold the engine's block: free it
+        remaining -= kept
+        if not kept and reducible_mask(strategy, _CORNERS, params).all():
             raise InvalidParameterError(
                 "the strategy pins the chain for every opponent: it is "
                 "reducible at all four corner opponents q in {0, 1}^2")

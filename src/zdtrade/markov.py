@@ -51,11 +51,7 @@ it, serve general 4x4 chains by the cofactor test and a linear solve.
 The engine writes the cofactors column by column into a C-ordered (n, 4)
 `vs` and divides them there, so that `vs @ u` makes the same BLAS call,
 with the same bits, as on a freshly divided array; a transposed `vs` or a
-4-term dot would round differently.  It takes an optional `Workspace` and
-writes every vector it computes into it: a caller that reuses one across
-batches (the verification passes) allocates no per-batch array, and a
-caller that passes none gets one made at its batch size, through the same
-code.
+4-term dot would round differently.
 """
 
 from __future__ import annotations
@@ -142,36 +138,18 @@ def _provider_factors(p, e2: float) -> np.ndarray:
     return np.stack([coop, coop, defect, defect], axis=1)
 
 
-class Workspace:
-    """Scratch of the batched engine: one float64 block of ROWS rows per
-    draw, made at the first batch size it serves and remade only for a
-    larger one.  Rows 0-3 hold the cofactors and `vs` as a C-ordered (n, 4)
-    array; rows 4-9 the vectors, each reused once its value is dead."""
-
-    ROWS = 10
-
-    def __init__(self):
-        self._block = np.empty(0)
-
-    def rows(self, n: int) -> np.ndarray:
-        """The (ROWS, n) C-ordered head of the block."""
-        if self._block.size < self.ROWS * n:
-            self._block = np.empty(self.ROWS * n)
-        return self._block[:self.ROWS * n].reshape(self.ROWS, n)
-
-
-def _draws(qs, e1: float, work: Workspace | None = None):
+def _draws(qs, e1: float):
     """(q1, q2, s, rows) of collector strategies qs, shape (n, 2), checked
-    once: `rows` is `work.rows(n)` (of a new Workspace if None), q1 and
-    s = (1-e1) q1 + e1 q2 = G(w=DC) are its contiguous rows 4 and 5, and q2
-    is the column of qs."""
+    once.  `rows` is a new C-ordered (10, n) float64 block, the batched
+    engine's one scratch allocation per call: q1 and s = (1-e1) q1 + e1 q2
+    = G(w=DC) are its rows 4 and 5, and q2 is the column of qs."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
         raise InvalidParameterError("qs must have shape (n, 2)")
     if not np.all((qs >= 0) & (qs <= 1)):   # NaN and +-inf fail one of them
         raise InvalidParameterError(
             "collector strategies must be finite and lie in [0, 1]")
-    rows = (Workspace() if work is None else work).rows(len(qs))
+    rows = np.empty((10, len(qs)))
     q1, s = rows[4], rows[5]
     q2 = qs[:, 1]
     np.multiply(qs[:, 0], 1 - e1, out=q1)   # q1's row holds (1-e1) q1 first
@@ -281,15 +259,14 @@ def expected_payoffs(p, q, params: GameParams) -> StationaryResult:
         return StationaryResult(v, float(v @ pv.u_p), float(v @ pv.u_c))
 
 
-def _cofactors(p, qs, params: GameParams,
-               work: Workspace | None = None) -> np.ndarray:
+def _cofactors(p, qs, params: GameParams) -> np.ndarray:
     """(n, 4): the diagonal 3x3 cofactors of I - M for one provider strategy
     against each collector strategy of qs, dc g_C + (1 - cc) g_D in closed
     form (module docstring); no matrix is built.  Every vector is a row of
-    the workspace, and the cofactors are written column by column into its
-    C-ordered (n, 4) head, which is returned."""
+    the block of `_draws`, and the cofactors are written column by column
+    into its C-ordered (n, 4) head, which is returned."""
     a = _provider_factors(p, params.e2)[:, StateIndex.CC]
-    q1, _, s, rows = _draws(qs, params.e1, work)
+    q1, _, s, rows = _draws(qs, params.e1)
     w = rows[:4].reshape(-1, 4)
     cc, dc, omq1, oms = rows[6:]
     np.subtract(1, q1, out=omq1)
@@ -317,16 +294,15 @@ def _cofactor_sum(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(out, w[:, 3], out=out)
 
 
-def irreducible_payoffs(p, qs, params: GameParams,
-                        work: Workspace | None = None):
+def irreducible_payoffs(p, qs, params: GameParams):
     """(reducible, s_p, s_c): each draw's cofactors computed and tested once,
     and the long-run payoffs of the irreducible ones in draw order.  The
-    kept cofactors move to the front of `vs` and are divided there; s_p and
-    s_c are rows of the workspace (a new one if None), valid until its next
-    use."""
-    work = Workspace() if work is None else work
-    vs = _cofactors(p, qs, params, work)
-    total, s_p, s_c = work.rows(len(vs))[4:7]
+    kept cofactors move to the front of `vs` and are divided there.  The
+    sums, s_p and s_c go into rows 4-6 of the block behind `vs`, dead once
+    the cofactors are written, so s_p and s_c are views that keep the
+    whole block (80 bytes per draw) alive."""
+    vs = _cofactors(p, qs, params)
+    total, s_p, s_c = vs.base[4:7]
     reducible = _cofactor_sum(vs, total) < REDUCIBLE_TOL
     if reducible.any():
         keep = ~reducible

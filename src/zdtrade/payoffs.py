@@ -65,9 +65,11 @@ def check_count(name, value, low, high) -> None:
 
 
 def check_seed(seed) -> None:
-    """Raise InvalidParameterError for a negative integer seed (a Generator
-    or None passes)."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Raise InvalidParameterError unless seed is an integer (not a bool)
+    >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed!r}")
 
 
@@ -211,11 +213,11 @@ def validate_ordering(payoffs: PayoffVectors) -> OrderingReport:
     """
     u_p, u_c = payoffs.u_p, payoffs.u_c
     cc, cd, dc, dd = StateIndex.CC, StateIndex.CD, StateIndex.DC, StateIndex.DD
-    return OrderingReport(
-        u_p_cc_gt_cd=bool(u_p[cc] > u_p[cd]),
-        u_p_cc_dc_dd=bool(u_p[cc] > u_p[dc] and u_p[dc] > u_p[dd]),
-        u_c_cd_cc_dc=bool(u_c[cd] > u_c[cc] and u_c[cc] > u_c[dc]),
-        u_c_cd_dd_dc=bool(u_c[cd] > u_c[dd] and u_c[dd] > u_c[dc]),
-        data_valued=bool(payoffs.params.c_p > payoffs.params.c_p1),
-        privacy_sensitive=bool(payoffs.params.c_p < payoffs.params.c_p1),
+    return OrderingReport(      # one argument per field: the fast path
+        bool(u_p[cc] > u_p[cd]),
+        bool(u_p[cc] > u_p[dc] and u_p[dc] > u_p[dd]),
+        bool(u_c[cd] > u_c[cc] and u_c[cc] > u_c[dc]),
+        bool(u_c[cd] > u_c[dd] and u_c[dd] > u_c[dc]),
+        bool(payoffs.params.c_p > payoffs.params.c_p1),
+        bool(payoffs.params.c_p < payoffs.params.c_p1),
     )

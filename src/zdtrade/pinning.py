@@ -24,10 +24,10 @@ from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
                       check_count, check_e2_below_one, check_unit_interval)
 
-# A scan peaks at ~29 bytes per (p1, p4) cell and keeps ~27 of them, and
+# A scan peaks at ~33 bytes per (p1, p4) cell and keeps ~27 of them, and
 # its CSV, written block by block, adds a few MB of block buffers
-# (tracemalloc, resolution 1001 and 2001; ~86 bytes per cell at 301): at most
-# MAX_RESOLUTION keeps one scan under ~0.3 GB.
+# (tracemalloc, resolution 1001 and 2001; 82-85 bytes per cell at 301): at
+# most MAX_RESOLUTION keeps one scan under ~0.3 GB.
 MAX_RESOLUTION = 3000
 
 # The reason attached to a cell, indexed by its reason code (0: feasible).

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -18,7 +19,7 @@ from zdtrade import (BaselineDegenerateError, ExtortionParams,
 from zdtrade.extortion import (MAX_GRID_NUM, MAX_TRIALS, VERIFY_PASS,
                                ExtortionGrid, ExtortionSolution,
                                VerificationReport)
-from zdtrade.markov import Workspace, irreducible_payoffs
+from zdtrade.markov import irreducible_payoffs
 
 from conftest import (csv_of, reference_irreducible_payoffs,
                       reference_verification)
@@ -223,6 +224,18 @@ def test_verify_refuses_infeasible(base_params):
     good = build_extortion_strategy(base_params, ext)
     with pytest.raises(InvalidParameterError, match="seed"):
         verify_extortion_relation(good, base_params, ext, trials=10, rng=-1)
+    # a seed is an integer: True used to run as seed 1, 1.5 to fail in numpy
+    for rng in (True, 1.5, "7"):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"seed must be an integer, got {rng!r}")):
+            verify_extortion_relation(good, base_params, ext, trials=10,
+                                      rng=rng)
+    # None (fresh entropy) and a Generator stay accepted
+    assert verify_extortion_relation(good, base_params, ext, trials=10).trials == 10
+    assert verify_extortion_relation(
+        good, base_params, ext, trials=10,
+        rng=np.random.default_rng(1)) == verify_extortion_relation(
+        good, base_params, ext, trials=10, rng=1)
     # trials must be an integer (2.5 used to stop inside numpy)
     for trials in (2.5, 1e4, True):
         with pytest.raises(InvalidParameterError,
@@ -315,13 +328,20 @@ def test_params_validation(base_params):
     assert ExtortionParams(1, 2, 1.5, phi_sign=1) == ExtortionParams(1, 2, 1.5)
     # a given sign that contradicts phi is refused, not overwritten
     for phi, phi_sign, text in ((0.1, -1, "-1"), (-0.1, 1, "+1"),
-                                (0.1, -1.0, "-1")):
+                                (0.1, np.int64(-1), "-1")):
         with pytest.raises(InvalidParameterError) as info:
             ExtortionParams(1, 2, 1.5, phi=phi, phi_sign=phi_sign)
         assert str(info.value) == (f"phi_sign {text} contradicts the sign "
                                    f"of phi {phi!r}")
     with pytest.raises(InvalidParameterError, match="phi_sign must be"):
         ExtortionParams(1, 2, 1.5, phi=0.1, phi_sign=0)
+    # the sign is an integer: a float or a bool is refused, not kept
+    for phi_sign in (-1.0, 1.0, True):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"phi_sign must be +1 or -1, got {phi_sign!r}")):
+            ExtortionParams(1, 2, 1.5, phi_sign=phi_sign)
+    side = ExtortionParams(1, 2, 1.5, phi_sign=np.int64(-1)).phi_sign
+    assert side == -1 and type(side) is int
 
 
 # --- noise-space scan -----------------------------------------------------------
@@ -683,8 +703,8 @@ def test_verify_passes_match_one_pass_loop(base_params, monkeypatch):
 
     cofactors = markov._cofactors
 
-    def flag_chains(p, qs, params, work=None):   # the same subset, zeroed
-        w = cofactors(p, qs, params, work)
+    def flag_chains(p, qs, params):   # the same subset, zeroed
+        w = cofactors(p, qs, params)
         w[qs[:, 0] < 0.3] = 0.0
         return w
 
@@ -728,16 +748,13 @@ def test_workspace_passes_match_allocating_loop(base_params, monkeypatch,
     assert (report.discarded > 0) == (p is not None)
 
 
-def test_engine_writes_into_a_reused_workspace(base_params):
+def test_engine_matches_stacked_reference_across_batch_sizes(base_params):
     p = (1.0, 1.0, 0.0, 0.5)   # reducible at q = (1, 1): cc = 1, dc = 0
     rng = np.random.default_rng(8)
-    work = Workspace()
     for n in (50, 20, 50, 3, 80):
         qs = rng.random((n, 2))
         qs[::4] = 1.0
-        reducible, s_p, s_c = irreducible_payoffs(p, qs, base_params, work)
-        block = work.rows(n)
-        assert np.shares_memory(s_p, block) and np.shares_memory(s_c, block)
+        reducible, s_p, s_c = irreducible_payoffs(p, qs, base_params)
         want = reference_irreducible_payoffs(p, qs, base_params)
         assert reducible.sum() == len(range(0, n, 4))
         for got, ref in zip((reducible, s_p, s_c), want):

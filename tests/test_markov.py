@@ -534,7 +534,7 @@ def test_expected_payoffs_many_matches_scalar(base_params):
 
 
 def test_expected_payoffs_many_frees_its_scratch(base_params):
-    # the results own their data: no view keeps the (10, n) workspace alive
+    # the results own their data: no view keeps the engine's scratch alive
     rng = np.random.default_rng(32)
     p = rng.uniform(0.05, 0.95, 4)
     qs = rng.uniform(0.05, 0.95, (20_000, 2))
@@ -548,7 +548,7 @@ def test_expected_payoffs_many_frees_its_scratch(base_params):
     for array, want in zip(got, (want_p, want_c)):
         assert array.flags.owndata and array.base is None
         assert array.tobytes() == want.tobytes()
-    assert held < 3 * 8 * len(qs)     # two results; the workspace is 10 rows
+    assert held < 3 * 8 * len(qs)     # two results; the scratch is 10 rows
 
 
 # --- strategy types ---------------------------------------------------------

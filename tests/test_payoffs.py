@@ -161,6 +161,13 @@ def test_check_seed_refuses_negative(seed):
         check_seed(seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", None, True, np.bool_(False)])
+def test_check_seed_refuses_non_integers(seed):
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            f"seed must be an integer, got {seed!r}")):
+        check_seed(seed)
+
+
 def test_replace_noise_changes_only_the_noise(base_params):
     assert base_params.replace_noise() == base_params
     for noise in ({"e1": 0.1}, {"e2": 0.2}, {"e1": 0.1, "e2": 0.2}):

@@ -204,3 +204,23 @@ def test_constructor_errors(base_params):
     assert ExtortionParams(1, 2, 1.5, phi=-0.01).phi_sign == -1
     assert ExtortionParams(1, 2, 1.5, -0.01) == ExtortionParams(
         l1=1, l2=2, chi=1.5, phi=-0.01, phi_sign=-1)
+
+
+@pytest.mark.parametrize("cls, args, kwargs, named", [
+    (GameParams, (5, 5, 2, 2, 3, 3, 0.3), {}, "e2"),                # missing
+    (GameParams, (5, 5, 2, 2, 3, 3, 0.3, 0.5), {"c_p3": 1}, "c_p3"),  # unknown
+    (GameParams, (5, 5, 2, 2, 3, 3, 0.3, 0.5), {"e2": 0.5}, "e2"),  # doubled
+    (GameParams, (5, 5, 2, 2, 3, 3, 0.3, 0.5, 0.5), {}, None),      # extra
+    (ExtortionParams, (1, 2), {}, "chi"),
+    (ExtortionParams, (1, 2, 1.5), {"psi": 1}, "psi"),
+    (ExtortionParams, (1, 2, 1.5), {"l1": 1}, "l1"),
+    (ExtortionParams, (1, 2, 1.5, None, 1, 7), {}, None),
+], ids=[f"{name}-{kind}" for name in ("GameParams", "ExtortionParams")
+         for kind in ("missing", "unknown", "doubled", "extra")])
+def test_constructor_error_names_class_and_argument(cls, args, kwargs, named):
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    message = str(info.value)
+    assert message.startswith(f"{cls.__qualname__}() "), message
+    if named is not None:
+        assert repr(named) in message, message

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
@@ -241,6 +242,16 @@ def test_config_validation(base_params):
             SimConfig(params=base_params, p=p, q=q, rounds=rounds, seed=1)
     with pytest.raises(InvalidParameterError, match="burn_in must be an integer"):
         SimConfig(params=base_params, p=p, q=q, rounds=100, seed=1, burn_in=2.5)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", None, True])
+def test_config_refuses_a_seed_that_is_not_an_integer(base_params, seed):
+    # 1.5 and "7" used to fail inside numpy, None to run unseeded (equal
+    # configs would not give equal traces) and True to run as seed 1
+    p, q = ProviderStrategy(1, 1, 1, 1), CollectorStrategy(1, 1)
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        SimConfig(params=base_params, p=p, q=q, rounds=100, seed=seed)
 
 
 def test_payoff_average_agrees_with_dot_product(mixed_config):
