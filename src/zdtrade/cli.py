@@ -37,9 +37,9 @@ from ._text import csv_blocks, fmt_float, plain, table
 from .collector import check_collector_extortion, check_collector_pinning
 from .errors import (ConfigError, InvalidParameterError,
                      NonUniqueStationaryError, ZdTradeError)
-from .extortion import (MAX_GRID_NUM, ExtortionParams, _phi_side,
-                        build_extortion_strategy, scan_extortion_region,
-                        verify_extortion_relation)
+from .extortion import (MAX_GRID_NUM, ExtortionParams,
+                        build_extortion_strategy, check_extortion_inputs,
+                        scan_extortion_region, verify_extortion_relation)
 from .markov import CollectorStrategy, ProviderStrategy
 from .payoffs import (GameParams, STATE_NAMES, StateIndex, build_payoffs,
                       check_count, validate_ordering)
@@ -266,8 +266,9 @@ def _cmd_extort(args, cfg, params):
 def _cmd_scan_extort(args, cfg, params):
     section = _require(cfg, "extortion", "l1", "l2")
     l1, l2 = float(section["l1"]), float(section["l2"])
-    phi, phi_sign = section.get("phi"), section.get("phi_sign")
-    phi_sign = _phi_side(None if phi is None else float(phi), phi_sign)
+    phi = section.get("phi")
+    phi_sign = check_extortion_inputs(l1, l2, section.get("phi_sign"),
+                                      phi=None if phi is None else float(phi))
     chi_probe = section.get("chi_probe")
     e1_grid, e2_grid = _grid(section, "e1_grid"), _grid(section, "e2_grid")
     grid = scan_extortion_region(params, l1, l2, e1_grid, e2_grid,

@@ -15,9 +15,8 @@ import math
 
 from ._record import record
 from ._text import plain
-from .extortion import baseline_gap
-from .payoffs import (GameParams, StateIndex, build_payoffs, check_finite,
-                      validate_ordering)
+from .extortion import baseline_gap, check_extortion_inputs
+from .payoffs import GameParams, StateIndex, build_payoffs, validate_ordering
 
 
 def _holds(gap: float) -> bool:
@@ -84,7 +83,7 @@ def check_collector_extortion(params: GameParams, l1: float,
     provider prefers a cooperative collector, the collector gains from
     resale, and both denominators are positive.
     """
-    check_finite(l1=l1, l2=l2)
+    check_extortion_inputs(l1, l2)
     pv = build_payoffs(params)
     d_cc = baseline_gap(pv.u_c, l2, StateIndex.CC)
     d_cd = baseline_gap(pv.u_c, l2, StateIndex.CD)

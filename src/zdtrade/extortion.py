@@ -32,7 +32,7 @@ from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
                       build_payoffs, check_count, check_e2_below_one,
-                      check_finite, check_seed, payoff_arrays)
+                      check_seed, payoff_arrays)
 
 # Verification draws at most VERIFY_PASS opponents per pass and frees the
 # pass's arrays before the next: ~101 bytes per pass opponent at peak
@@ -52,21 +52,28 @@ _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 MAX_GRID_NUM = 2700
 
 
-def _check_phi_sign(phi_sign) -> None:
-    if (isinstance(phi_sign, bool)
-            or not isinstance(phi_sign, (int, np.integer))
-            or phi_sign not in (1, -1)):
-        raise InvalidParameterError(f"phi_sign must be +1 or -1, got {phi_sign!r}")
-
-
-def _phi_side(phi, phi_sign) -> int:
-    """+1 or -1 as an int: phi_sign if given (it must agree with the sign of
-    phi), else the sign of phi, else +1.  A given phi must be finite and
-    nonzero."""
-    if phi is not None and (not np.isfinite(phi) or phi == 0):
+def check_extortion_inputs(l1, l2, phi_sign=None, chi=None, phi=None,
+                           chi_probe=None) -> int:
+    """The one rule for the extortion inputs, run once by each public call
+    that takes them (None: not given): every value finite, then l1, l2 > 0
+    and chi > 1 (chi_probe need only be finite: its verdict requires > 1),
+    then phi nonzero and phi_sign +1 or -1.  Returns the phi side as an
+    int: phi_sign if given (it must agree with phi), else phi's sign, else +1.
+    """
+    given = {"l1": l1, "l2": l2, "chi": chi, "phi": phi, "chi_probe": chi_probe}
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    for name, low in (("l1", 0), ("l2", 0), ("chi", 1)):
+        value = given[name]
+        if value is not None and value <= low:
+            raise InvalidParameterError(f"{name} must be > {low}, got {value!r}")
+    if phi == 0:
         raise InvalidParameterError(f"phi must be nonzero, got {phi!r}")
     if phi_sign is not None:
-        _check_phi_sign(phi_sign)
+        if isinstance(phi_sign, bool) or not (
+                isinstance(phi_sign, (int, np.integer)) and phi_sign in (1, -1)):
+            raise InvalidParameterError(f"phi_sign must be +1 or -1, got {phi_sign!r}")
         phi_sign = int(phi_sign)
     sign = (phi_sign or 1) if phi is None else (1 if phi > 0 else -1)
     if phi_sign not in (None, sign):
@@ -82,8 +89,8 @@ class ExtortionParams:
     chi > 1 is the extortion factor; l1, l2 > 0 the payoff baselines.
     phi scales the strategy column and may take either sign; leave it
     None to let the constructor pick the midpoint of the admissible
-    range on the side given by phi_sign.  phi_sign None means "not
-    given"; the constructor sets it to the side of phi (`_phi_side`).
+    range on the side given by phi_sign.  The fields pass
+    `check_extortion_inputs`, which sets phi_sign to the side it returns.
     """
 
     l1: float
@@ -93,13 +100,8 @@ class ExtortionParams:
     phi_sign: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.l1) or self.l1 <= 0:
-            raise InvalidParameterError(f"l1 must be > 0, got {self.l1!r}")
-        if not np.isfinite(self.l2) or self.l2 <= 0:
-            raise InvalidParameterError(f"l2 must be > 0, got {self.l2!r}")
-        if not np.isfinite(self.chi) or self.chi <= 1:
-            raise InvalidParameterError(f"chi must be > 1, got {self.chi!r}")
-        object.__setattr__(self, "phi_sign", _phi_side(self.phi, self.phi_sign))
+        object.__setattr__(self, "phi_sign", check_extortion_inputs(
+            self.l1, self.l2, self.phi_sign, chi=self.chi, phi=self.phi))
 
 
 class ChiBounds(NamedTuple):
@@ -126,7 +128,6 @@ def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
     """Ratio bounds (lower, upper) from per-state payoffs (four broadcastable
     entries each, see `payoff_arrays`), both NaN where a denominator
     u_c(state) - l2 is within DENOM_TOL of 0."""
-    _check_phi_sign(phi_sign)
     states = _RATIO_STATES[phi_sign]
     denom = [u_c[s] - l2 for s in states]
     flat = (np.abs(denom[0]) <= DENOM_TOL) | (np.abs(denom[1]) <= DENOM_TOL)
@@ -145,7 +146,7 @@ def chi_bounds(params: GameParams, l1: float, l2: float,
     Raises BaselineDegenerateError when a needed denominator u_c(state) - l2
     is within DENOM_TOL of zero.
     """
-    check_finite(l1=l1, l2=l2)
+    phi_sign = check_extortion_inputs(l1, l2, phi_sign)
     pv = build_payoffs(params)
     lower, upper = _ratio_bounds(pv.u_p, pv.u_c, l1, l2, phi_sign)
     for state in _RATIO_STATES[phi_sign]:
@@ -167,12 +168,9 @@ def _row_constraints(u_p, u_c, l1, l2, e2, phi_sign):
     the mixed coefficients.  sign=-1 means 'must be <= 0' for phi > 0;
     everything flips for phi < 0.  Returns alpha, beta and sign, one entry
     per row in the order CC, CD, DC, DD, each row at the shape of the
-    payoffs it reads.  Raises for e2 = 1, where the mixed rows leave p2/p4
-    undetermined.
+    payoffs it reads.  Callers refuse e2 = 1 first, where the mixed rows
+    leave p2/p4 undetermined.
     """
-    _check_phi_sign(phi_sign)
-    check_e2_below_one(e2)
-
     def rows(x):  # CC, CD - e2 CC, DC, DD - e2 DC
         return x[0], x[1] - e2 * x[0], x[2], x[3] - e2 * x[2]
     return (rows([u - l1 for u in u_p]), rows([u - l2 for u in u_c]),
@@ -239,7 +237,8 @@ def chi_feasible_interval(params: GameParams, l1: float, l2: float,
     not apply.  Returns (nan, nan, False) when empty; endpoints may be
     +/-inf.
     """
-    check_finite(l1=l1, l2=l2)
+    phi_sign = check_extortion_inputs(l1, l2, phi_sign)
+    check_e2_below_one(params.e2)
     pv = build_payoffs(params)
     lo, hi, nonempty = _chi_interval(
         *_row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2, phi_sign))
@@ -253,13 +252,18 @@ def phi_feasible_interval(params: GameParams, l1: float, l2: float,
     For phi > 0 the interval is (0, phi_max]; for phi < 0 it is
     [-phi_max, 0).  phi_max may be inf when no row binds.
     """
-    check_finite(l1=l1, l2=l2, chi=chi)
-    pv = build_payoffs(params)
-    alpha, beta, sign = _row_constraints(pv.u_p, pv.u_c, l1, l2, params.e2,
-                                         phi_sign)
+    phi_sign = check_extortion_inputs(l1, l2, phi_sign, chi=chi)
+    check_e2_below_one(params.e2)
+    return _phi_range(build_payoffs(params), l1, l2, chi, phi_sign)
+
+
+def _phi_range(pv, l1, l2, chi, phi_sign):
+    """`phi_feasible_interval` from the game's payoffs and checked inputs."""
+    e2 = pv.params.e2
+    alpha, beta, sign = _row_constraints(pv.u_p, pv.u_c, l1, l2, e2, phi_sign)
     if not _admissible(alpha, beta, sign, chi):
         return None
-    phi_max = _phi_max(alpha, beta, chi, params.e2)
+    phi_max = _phi_max(alpha, beta, chi, e2)
     return (0.0, float(phi_max)) if phi_sign > 0 else (-float(phi_max), 0.0)
 
 
@@ -297,17 +301,18 @@ def build_extortion_strategy(params: GameParams,
     raw; the solution is feasible when all four lie in [0, 1] within
     BOUNDARY_TOL.  When ext.phi is None the midpoint of the admissible phi
     range is used (falling back to phi_sign * 1.0 if that range is empty,
-    so the caller still sees the infeasible row values).
+    so the caller still sees the infeasible row values).  ext is not
+    checked again: its constructor did.
     """
+    check_e2_below_one(params.e2)
+    pv = build_payoffs(params)
     phi = ext.phi
-    phi_range = phi_feasible_interval(params, ext.l1, ext.l2, ext.chi,
-                                      ext.phi_sign)
+    phi_range = _phi_range(pv, ext.l1, ext.l2, ext.chi, ext.phi_sign)
     if phi is None:
         if phi_range is None or math.isinf(phi_range[0] - phi_range[1]):
             phi = float(ext.phi_sign)  # empty, or unbounded: any phi works
         else:
             phi = (phi_range[0] + phi_range[1]) / 2
-    pv = build_payoffs(params)
     e2 = params.e2
     with np.errstate(all="ignore"):     # finite chi or phi near float max
         x = (pv.u_p - ext.l1) - ext.chi * (pv.u_c - ext.l2)
@@ -431,7 +436,9 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     intersected with chi > 1.  With chi_probe set, also report per cell
     whether that specific factor admits an admissible phi.  Cells match
     the scalar functions at their noise levels.  `jobs` is accepted for
-    compatibility only: the output does not depend on it.
+    compatibility only: the output does not depend on it.  The inputs
+    follow `check_extortion_inputs`; chi_probe need only be finite, since
+    the probe verdict requires chi_probe > 1.
 
     The evaluation follows the noise's rank structure: the CC, CD, DC and
     DD payoffs and row constraints are a scalar, a (1, n2) row, an (n1, 1)
@@ -439,7 +446,7 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
     chi-interval fold and the outputs are grid-sized (~70 bytes per cell at
     peak, see MAX_GRID_NUM).
     """
-    check_finite(l1=l1, l2=l2, chi_probe=chi_probe)
+    phi_sign = check_extortion_inputs(l1, l2, phi_sign, chi_probe=chi_probe)
     e1_axis = np.asarray(e1_grid, dtype=float)
     e2_axis = np.asarray(e2_grid, dtype=float)
     for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):

@@ -15,8 +15,6 @@ mask).
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from enum import IntEnum
 
 import numpy as np
@@ -82,14 +80,6 @@ def check_e2_below_one(e2) -> None:
         )
 
 
-def check_finite(**values) -> None:
-    """Raise InvalidParameterError naming the first NaN or infinite value;
-    None values are skipped."""
-    for name, v in values.items():
-        if v is not None and not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-
-
 @record
 class GameParams:
     """Trading parameters of the game.
@@ -125,9 +115,11 @@ class GameParams:
     as_dict = plain
 
     def replace_noise(self, e1=None, e2=None) -> "GameParams":
-        """Copy with one or both noise levels replaced."""
-        return replace(self, e1=self.e1 if e1 is None else e1,
-                       e2=self.e2 if e2 is None else e2)
+        """Copy with one or both noise levels replaced, built positionally:
+        `dataclasses.replace` passes keywords, the records' slow path."""
+        return GameParams(self.c_p, self.c_c, self.c_p1, self.c_c1, self.c_p2,
+                          self.c_c2, self.e1 if e1 is None else e1,
+                          self.e2 if e2 is None else e2)
 
 
 @record(eq=False)

@@ -247,6 +247,21 @@ def test_non_finite_baselines_exit_3(tmp_path, capsys):
     assert "infeasible for collector" not in out.out + out.err
 
 
+@pytest.mark.parametrize("command", ["extort", "scan-extort",
+                                     "check-collector"])
+def test_negative_baseline_exits_3_from_every_command(tmp_path, capsys,
+                                                      command):
+    cfg = write_config(tmp_path, extortion={
+        "l1": -1, "l2": 2, "chi": 1.5,
+        "e1_grid": {"num": 5, "max": 0.8}, "e2_grid": {"num": 5, "max": 0.8}})
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "artifact")]) == 3
+    out = capsys.readouterr()
+    assert out.err == "invalid parameters: l1 must be > 0, got -1.0\n"
+    assert out.out == ""
+    assert not (tmp_path / "artifact").exists()
+
+
 def test_non_finite_noise_axis_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, extortion={"l1": 1, "l2": 2,
                                             "e1_grid": [0.1, float("nan")]})

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdtrade.collector as collector
 import zdtrade.extortion as extortion
 import zdtrade.markov as markov
 from zdtrade import (BaselineDegenerateError, ExtortionParams,
                      GameParams, InvalidParameterError,
                      build_extortion_strategy, build_payoffs, chi_bounds,
+                     check_collector_extortion,
                      chi_feasible_interval, expected_payoffs,
                      expected_payoffs_many, phi_feasible_interval,
                      reducible_mask, scan_extortion_region,
@@ -342,6 +344,76 @@ def test_params_validation(base_params):
             ExtortionParams(1, 2, 1.5, phi_sign=phi_sign)
     side = ExtortionParams(1, 2, 1.5, phi_sign=np.int64(-1)).phi_sign
     assert side == -1 and type(side) is int
+
+
+# --- one input rule -------------------------------------------------------------
+
+def baseline_entry_points(params, l1, l2):
+    """Every public call that takes the baselines l1, l2."""
+    axis = [0.1, 0.2]
+    return {
+        "ExtortionParams": lambda: ExtortionParams(l1, l2, 1.5),
+        "chi_bounds": lambda: chi_bounds(params, l1, l2),
+        "chi_feasible_interval": lambda: chi_feasible_interval(params, l1, l2),
+        "phi_feasible_interval":
+            lambda: phi_feasible_interval(params, l1, l2, 1.5),
+        "scan_extortion_region":
+            lambda: scan_extortion_region(params, l1, l2, axis, axis),
+        "check_collector_extortion":
+            lambda: check_collector_extortion(params, l1, l2),
+    }
+
+
+@pytest.mark.parametrize("field", ["l1", "l2"])
+@pytest.mark.parametrize("bad, text", [(0, "0"), (-1, "-1"), (-0.0, "-0.0"),
+                                       (math.nan, "nan")])
+def test_every_entry_point_refuses_a_baseline_alike(base_params, field, bad,
+                                                    text):
+    # a baseline <= 0 is out of range everywhere, not only in
+    # ExtortionParams; a non-finite one is refused as such everywhere
+    rule = "finite" if math.isnan(bad) else "> 0"
+    baselines = {"l1": 1.0, "l2": 2.0, field: bad}
+    for name, call in baseline_entry_points(base_params, **baselines).items():
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert str(info.value) == f"{field} must be {rule}, got {text}", name
+
+
+def test_phi_interval_refuses_chi_at_most_one(base_params):
+    for chi in (1.0, 0.5):
+        with pytest.raises(InvalidParameterError) as info:
+            phi_feasible_interval(base_params, 1, 2, chi)
+        assert str(info.value) == f"chi must be > 1, got {chi!r}"
+
+
+def test_each_call_runs_the_input_rule_once(base_params, monkeypatch):
+    ext = ExtortionParams(1, 2, 1.5)
+    calls = {"rule": 0, "build_payoffs": 0}
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
+    rule = counting("rule", extortion.check_extortion_inputs)
+    for module in (extortion, collector):
+        monkeypatch.setattr(module, "check_extortion_inputs", rule)
+    monkeypatch.setattr(extortion, "build_payoffs", counting(
+        "build_payoffs", extortion.build_payoffs))
+    # the strategy trusts its checked ExtortionParams and builds its payoffs
+    # and rows once, without the public phi_feasible_interval
+    build_extortion_strategy(base_params, ext)
+    assert calls == {"rule": 0, "build_payoffs": 1}
+    axis = np.linspace(0, 0.9, 5)
+    for call in (lambda: chi_bounds(base_params, 1, 2),
+                 lambda: chi_feasible_interval(base_params, 1, 2),
+                 lambda: phi_feasible_interval(base_params, 1, 2, 1.5),
+                 lambda: check_collector_extortion(base_params, 1, 2),
+                 lambda: scan_extortion_region(base_params, 1, 2, axis, axis,
+                                               phi_sign=-1, chi_probe=1.5)):
+        calls["rule"] = 0
+        call()
+        assert calls["rule"] == 1
 
 
 # --- noise-space scan -----------------------------------------------------------

@@ -168,6 +168,19 @@ def test_check_seed_refuses_non_integers(seed):
         check_seed(seed)
 
 
+def test_replace_noise_builds_positionally(base_params, monkeypatch):
+    # one argument per field: the copy never binds keywords, the records'
+    # slow path, so a call that did would fail here
+    monkeypatch.setattr(GameParams, "__signature__", None)
+    moved = base_params.replace_noise(e1=0.1)
+    assert moved == GameParams(5, 5, 2, 2, 3, 3, 0.1, 0.5)
+    assert base_params.replace_noise(e2=0.2) == GameParams(5, 5, 2, 2, 3, 3,
+                                                           0.3, 0.2)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^e1 must lie in \[0, 1\], got 1\.5$"):
+        base_params.replace_noise(e1=1.5)
+
+
 def test_replace_noise_changes_only_the_noise(base_params):
     assert base_params.replace_noise() == base_params
     for noise in ({"e1": 0.1}, {"e2": 0.2}, {"e1": 0.1, "e2": 0.2}):

@@ -187,6 +187,26 @@ def test_record_contract(name, base_params):
             assert twin is not obj and twin == obj and hash(twin) == hash(obj)
 
 
+def test_value_record_differs_from_other_classes_with_its_values():
+    from zdtrade._record import record
+
+    @record
+    class Pair:
+        a: int
+        b: int
+
+    @record
+    class OtherPair:
+        a: int
+        b: int
+
+    pair = Pair(1, 2)
+    for other in (OtherPair(1, 2), (1, 2)):
+        assert pair.__eq__(other) is NotImplemented
+        assert pair != other and other != pair
+    assert pair == Pair(1, 2)
+
+
 def test_constructor_errors(base_params):
     m = {f.name: getattr(base_params, f.name) for f in fields(GameParams)}
     assert GameParams(**m) == base_params
