@@ -26,11 +26,16 @@ padding only, leading and trailing zeros already padded, so a cell costs a
 few table lookups, not per-byte work.  Every other byte is a mark XORed
 into a pad byte that the tables leave free: the row's line break or the `,`
 into byte 0 of every cell, the `-` into byte 1 of a number's first word and
-the `.` into byte 3 of its units word.  `table` and `grid_axes` columns
+the `.` into byte 3 of its units word.  `table` and `grid_column` columns
 are coded: each distinct cell is rendered once, into word tables built once
 per column by `_cell_words`, and taken by code; a bool column is
 `table((False, True), col)`, and a `range` column is made an array a block
-at a time.
+at a time.  `grid_column` writes a 2-D grid row-major and codes it along
+an axis of stride 0 (a broadcast view, constant along that axis): a grid's
+axes (`grid_axes`), or a value that depends on one axis or on none,
+costs one rendered cell per distinct value, and its codes per block are
+row // n down the outer axis or a slice of one tiled period of arange(n)
+along the inner one.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -39,11 +44,14 @@ half-integer is a float; m is the correctly rounded significand unless the
 product is exactly a half-integer, where the exact value may lie on either
 side.  Such ties, products outside [1e11, 1e12], a carry to 1e12 at X = 11
 and non-finite values are formatted one by one with `%.12g`, as are
-integers of 14 or more digits and cells of other kinds.  The float
-kernel reuses its own temporaries and has two fast paths: a block with no
-fallback cell skips the fallback pass, and a block whose integer parts are
-all below 10 takes its units words straight from the `last` table (from 10
-up, the units word fills byte 1, so a leading word must hold the sign).
+integers of 14 or more digits and cells of other kinds.  The fraction
+digits, an integer field below 10^16, split into 4-digit words as floats,
+by an exact floor of the product with the double nearest 1e-4 (see
+`_frac_lookups`), not by int64 division.  The float kernel reuses its own
+temporaries and has two fast paths: a block with no fallback cell skips
+the fallback pass, and a block whose integer parts are all below 10 takes
+its units words straight from the `last` table (from 10 up, the units
+word fills byte 1, so a leading word must hold the sign).
 """
 
 from __future__ import annotations
@@ -191,13 +199,22 @@ def _int_lookups(i) -> list:
 
 def _frac_lookups(g, n: int) -> list:
     """Word lookups of the 4n-digit fraction field `g`, trailing zeros as
-    padding."""
-    frac, out, zero = _table("frac"), [], np.True_
-    for _ in range(n):
-        high = g // 10000
-        digits = g - high * 10000
-        out.append((frac, digits + 10000 * zero))
-        zero = zero & (digits == 0)
+    padding.  `g` is a float array, overwritten here, that splits as
+    floats.  The field is f * 10^j for an integer f <= 1e12 (see
+    `_float_cells`), so each value, and each high part split off it, is at
+    most 10^15 or a multiple of 10^4 below 10^16.  The high part is the
+    floor of g * c, c = fl(1e-4) = 1e-4 (1 + 4.8e-17): for a multiple of
+    10^4 the quotient q <= 1e12 is whole, and g * c, at least q and below
+    q + 1 after rounding, floors to q; otherwise q <= 1e11 lies at least
+    1e-4 below the next integer and g * c stays within 2e-5 of it."""
+    frac, out, pad = _table("frac"), [], 1e4
+    for w in range(n):
+        high = np.floor(g * 1e-4)
+        g -= high * 1e4
+        g += pad        # the padded variant while every lower word is 0
+        out.append((frac, g.astype(np.intp)))
+        if w + 1 < n:
+            pad = pad * (g == pad)
         g = high
     return out[::-1]
 
@@ -235,11 +252,12 @@ def _float_cells(x: np.ndarray):
     i = np.floor(np.divide(m, scale, out=p), out=p)
     f = np.subtract(m, np.multiply(i, scale, out=scale), out=m)
     point = f > 0
-    n = -(-int(np.max(k, where=point, initial=0)) // 4)
+    k_max = k.max() if point.all() else np.max(k, where=point, initial=0)
+    n = -(-int(k_max) // 4)
     np.subtract(4 * n, k, out=k)
     f *= _POW10.take(np.maximum(k, 0, out=k), out=scale)
     ints = _int_lookups(i.astype(np.int64))
-    return (ints + _frac_lookups(f.astype(np.int64), n), bad, texts,
+    return (ints + _frac_lookups(f, n), bad, texts,
             [(0, _SIGN, np.signbit(x)), (len(ints) - 1, _POINT, point)])
 
 
@@ -306,13 +324,45 @@ def table(names, codes=None) -> Coded:
     return Coded(words, codes.size, lambda start, stop: codes[start:stop])
 
 
+def _cyclic(n: int) -> Callable[[int, int], np.ndarray]:
+    """Codes r % n of rows start:stop, as slices of one tiled period of
+    arange(n), sized by the first (largest) block."""
+    tile = np.arange(0)
+
+    def codes(start: int, stop: int) -> np.ndarray:
+        nonlocal tile
+        at, rows = start % n, stop - start
+        if at + rows > tile.size:
+            tile = np.tile(np.arange(n), -(-(rows + n - 1) // n))
+        return tile[at:at + rows]
+    return codes
+
+
+def grid_column(a) -> Coded | np.ndarray:
+    """The row-major column of the 2-D grid `a`.  Along an axis of stride 0
+    (a broadcast view) `a` is constant, and the column is coded: each
+    distinct value is rendered once, and a block's codes are row // n for
+    values down the outer axis, or the cyclic codes of the inner axis (one
+    code for a grid of one value).  A grid without such an axis is its
+    flattened values, as is an empty grid."""
+    a = np.asarray(a)
+    n = a.shape[1]
+    outer, inner = (s != 0 for s in a.strides)
+    if outer and inner or not a.size:
+        return a.ravel()
+    if outer:
+        return Coded(_cell_words(a[:, 0]), a.size,
+                     lambda start, stop: np.arange(start, stop) // n)
+    n = n if inner else 1
+    return Coded(_cell_words(a[0, :n]), a.size, _cyclic(n))
+
+
 def grid_axes(outer, inner) -> tuple[Coded, Coded]:
-    """The two axis columns of a row-major 2-D grid, coded per block."""
-    n, size = len(inner), len(outer) * len(inner)
-    return (Coded(_cell_words(outer), size,
-                  lambda start, stop: np.arange(start, stop) // n),
-            Coded(_cell_words(inner), size,
-                  lambda start, stop: np.arange(start, stop) % n))
+    """The two axis columns of a row-major 2-D grid over `outer` x `inner`."""
+    outer, inner = np.asarray(outer), np.asarray(inner)
+    shape = (outer.size, inner.size)
+    return (grid_column(np.broadcast_to(outer[:, None], shape)),
+            grid_column(np.broadcast_to(inner[None, :], shape)))
 
 
 def _column(col) -> Coded | range | np.ndarray:
@@ -372,7 +422,7 @@ def _fill(parts, rows: int) -> np.ndarray:
 
 def csv_blocks(header, columns) -> Iterator[bytes]:
     """The CSV of the equal-length 1-D `columns` (arrays, a `range`, or
-    coded columns from `table` and `grid_axes`) as UTF-8 blocks: the header
+    coded columns from `table` and `grid_column`) as UTF-8 blocks: the header
     line, one block of up to BLOCK_ROWS rows at a time, then the final line
     break.  The columns are checked here, before the first block."""
     cols = [_column(c) for c in columns]

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import record
-from ._text import csv_blocks, grid_axes, plain
+from ._text import csv_blocks, grid_axes, grid_column, plain
 from .errors import BaselineDegenerateError, InvalidParameterError
 from .markov import ProviderStrategy, irreducible_payoffs, reducible_mask
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, STATE_NAMES,
@@ -127,10 +127,20 @@ def baseline_gap(u_c, l2, state) -> float:
 def _ratio_bounds(u_p, u_c, l1, l2, phi_sign):
     """Ratio bounds (lower, upper) from per-state payoffs (four broadcastable
     entries each, see `payoff_arrays`), both NaN where a denominator
-    u_c(state) - l2 is within DENOM_TOL of 0."""
+    u_c(state) - l2 is within DENOM_TOL of 0.  On a grid where none is,
+    each bound keeps the shape of the payoffs it reads, broadcast to the
+    grid as a read-only view: for phi > 0 the CC bound is one value and
+    the DD bound the grid, for phi < 0 the DC bound an e1 column and the CD
+    bound an e2 row.  0-d payoffs give 0-d arrays."""
     states = _RATIO_STATES[phi_sign]
     denom = [u_c[s] - l2 for s in states]
-    flat = (np.abs(denom[0]) <= DENOM_TOL) | (np.abs(denom[1]) <= DENOM_TOL)
+    flat = [np.abs(d) <= DENOM_TOL for d in denom]
+    if (flat[0].ndim or flat[1].ndim) and not (flat[0].any() or flat[1].any()):
+        shape = np.broadcast(*denom).shape
+        with np.errstate(all="ignore"):
+            return tuple(np.broadcast_to((u_p[s] - l1) / d, shape)
+                         for s, d in zip(states, denom))
+    flat = flat[0] | flat[1]
     with np.errstate(all="ignore"):
         lower, upper = (np.divide(u_p[s] - l1, d, where=~flat,
                                   out=np.full(np.shape(flat), np.nan))
@@ -390,7 +400,10 @@ def verify_extortion_relation(sol: ExtortionSolution, params: GameParams,
 @record(eq=False)
 class ExtortionGrid:
     """Noise-space scan of chi bounds and feasibility, indexed [i_e1, i_e2];
-    a bound is NaN where its ratio denominator degenerates."""
+    a bound is NaN where its ratio denominator degenerates.  A scan's
+    chi_lower and chi_upper may be read-only broadcast views that keep the
+    rank of their payoffs (see `_ratio_bounds`): copy one before writing
+    to it."""
 
     e1_axis: np.ndarray
     e2_axis: np.ndarray
@@ -408,8 +421,9 @@ class ExtortionGrid:
         """Write the CSV into the binary file `out` block by block."""
         out.writelines(csv_blocks(
             ["e1", "e2", "chi_lower", "chi_upper", "feasible"],
-            [*grid_axes(self.e1_axis, self.e2_axis), self.chi_lower.ravel(),
-             self.chi_upper.ravel(), self.feasible.ravel()]))
+            [*grid_axes(self.e1_axis, self.e2_axis),
+             *map(grid_column, (self.chi_lower, self.chi_upper,
+                                self.feasible))]))
 
     def summary(self) -> dict:
         feas = self.feasible
@@ -442,20 +456,24 @@ def scan_extortion_region(params_base: GameParams, l1: float, l2: float,
 
     The evaluation follows the noise's rank structure: the CC, CD, DC and
     DD payoffs and row constraints are a scalar, a (1, n2) row, an (n1, 1)
-    column and one (n1, n2) grid, each evaluated at its own shape; only the
-    chi-interval fold and the outputs are grid-sized (~70 bytes per cell at
-    peak, see MAX_GRID_NUM).
+    column and one (n1, n2) grid, each evaluated at its own shape.  The
+    ratio bounds keep that shape as read-only grid views, unless a
+    degenerate denominator puts NaN cells in them; the chi-interval fold
+    and the feasibility masks are grid-sized (~70 bytes per cell at peak,
+    see MAX_GRID_NUM).  e1 may be 1; e2 must stay below 1.
     """
     phi_sign = check_extortion_inputs(l1, l2, phi_sign, chi_probe=chi_probe)
     e1_axis = np.asarray(e1_grid, dtype=float)
     e2_axis = np.asarray(e2_grid, dtype=float)
-    for name, axis in (("e1_grid", e1_axis), ("e2_grid", e2_axis)):
+    # only e2 is divided by (1 - e2): e1 may be 1, as in GameParams
+    for name, axis, below, end in (("e1_grid", e1_axis, np.less_equal, "]"),
+                                   ("e2_grid", e2_axis, np.less, ")")):
         if axis.ndim != 1 or axis.size < 2:
             raise InvalidParameterError(f"{name} must be 1-D with >= 2 points")
         check_count(f"{name} size", axis.size, 2, MAX_GRID_NUM)
-        if not np.all((axis >= 0) & (axis < 1)):
+        if not np.all((axis >= 0) & below(axis, 1)):
             raise InvalidParameterError(
-                f"{name} values must be finite and lie in [0, 1)")
+                f"{name} values must be finite and lie in [0, 1{end}")
     e2 = e2_axis[None, :]
     u_p, u_c = payoff_arrays(params_base, e1_axis[:, None], e2)
     chi_lo, chi_hi = _ratio_bounds(u_p, u_c, l1, l2, phi_sign)

@@ -73,11 +73,11 @@ def check_seed(seed) -> None:
 
 def check_e2_below_one(e2) -> None:
     """Raise DegenerateParameterError when e2 (a float or an array) reaches
-    1: the pinning constants and the extortion rows divide by 1 - e2."""
+    1: the pinning constants, the extortion rows and the solved strategy
+    entries divide by 1 - e2.  The message names no caller."""
     if np.any(np.asarray(e2) >= 1.0):
         raise DegenerateParameterError(
-            "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
-        )
+            "e2 = 1 is degenerate: the computation divides by 1 - e2")
 
 
 @record

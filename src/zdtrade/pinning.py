@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from ._text import csv_blocks, grid_axes, plain
+from ._text import csv_blocks, grid_axes, grid_column, plain
 from .errors import DegenerateParameterError, InvalidParameterError
 from .markov import ProviderStrategy
 from .payoffs import (BOUNDARY_TOL, DENOM_TOL, GameParams, build_payoffs,
@@ -214,8 +214,9 @@ class PinningGrid:
         """Write the CSV into the binary file `out` block by block."""
         out.writelines(csv_blocks(
             ["p1", "p4", "feasible", "p2", "p3", "s_c_pinned"],
-            [*grid_axes(self.p1_axis, self.p4_axis), self.feasible.ravel(),
-             self.p2.ravel(), self.p3.ravel(), self.pinned_s_c.ravel()]))
+            [*grid_axes(self.p1_axis, self.p4_axis),
+             *map(grid_column, (self.feasible, self.p2, self.p3,
+                                self.pinned_s_c))]))
 
     def summary(self) -> dict:
         # reduced under the mask: a copy of the feasible cells would be a

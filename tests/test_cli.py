@@ -746,7 +746,7 @@ def test_non_finite_grid_bound_exit_3_quietly(tmp_path, capsys, axis):
         assert main(["scan-extort", "--config", cfg]) == 3
     out = capsys.readouterr()
     assert out.err == ("invalid parameters: e1_grid values must be finite "
-                       "and lie in [0, 1)\n")
+                       "and lie in [0, 1]\n")
 
 
 _HUGE = {"c_c": 1e308, "c_c1": 1e308, "c_c2": 1e308, "e1": 0, "e2": 0}

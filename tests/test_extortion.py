@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdtrade._text as text_mod
 import zdtrade.collector as collector
 import zdtrade.extortion as extortion
 import zdtrade.markov as markov
@@ -523,9 +524,11 @@ def test_scan_grid_validation(base_params):
                                   chi_probe=chi_probe)
     with pytest.raises(InvalidParameterError):
         scan_extortion_region(base_params, 1, 2, np.array([0.5]), np.array([0.1, 0.2]))
-    with pytest.raises(InvalidParameterError):
-        scan_extortion_region(base_params, 1, 2, np.array([0.0, 1.0]),
-                              np.array([0.1, 0.2]))
+    # only e2 is divided by (1 - e2): an e2 of 1 is refused, an e1 of 1 not
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "e2_grid values must be finite and lie in [0, 1)")):
+        scan_extortion_region(base_params, 1, 2, np.array([0.1, 0.2]),
+                              np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("name", ["e1_grid", "e2_grid"])
@@ -656,6 +659,20 @@ def test_scan_matches_per_cell_loop_on_degenerate_denominators(base_params):
         assert np.any(np.isnan(grids[0].chi_lower))
 
 
+def test_scan_matches_per_cell_loop_with_e1_one(base_params):
+    # e1 = 1 zeroes every (1 - e1) term; GameParams and the scalar interval
+    # accept it, and so does the scan
+    e1_axis, e2_axis = [0.0, 0.5, 1.0], np.linspace(0, 0.9, 4)
+    grids = assert_scan_matches_reference(base_params, 1, 2, e1_axis, e2_axis,
+                                          chi_probe=1.5)
+    for grid, phi_sign in zip(grids, (1, -1)):
+        for j, e2 in enumerate(e2_axis):
+            params = base_params.replace_noise(e1=1.0, e2=float(e2))
+            interval = chi_feasible_interval(params, 1, 2, phi_sign)
+            assert grid.feasible[2, j] == (interval.nonempty
+                                           and interval.upper > 1)
+
+
 def test_scan_matches_per_cell_loop_with_hostile_baselines(base_params):
     axis = np.linspace(0, 0.8, 5)
     grids = assert_scan_matches_reference(base_params, 6, 10, axis, axis,
@@ -683,8 +700,64 @@ def test_scan_matches_per_cell_loop_with_signed_zero_lower_bound(base_params):
     assert all(row.split(",")[2] == "-0" for row in rows)
 
 
-# A 400^2 scan with chi_probe peaks at ~70 bytes per cell for either phi sign
-# (tracemalloc, numpy 2.4); the bound leaves ~30% headroom.  Payoffs or row
+# --- the ratio bounds at the rank of their payoffs ------------------------------
+
+def test_scan_bounds_keep_the_rank_of_their_payoffs(base_params):
+    axis = np.linspace(0, 0.9, 6)
+    pos, neg = (scan_extortion_region(base_params, 1, 2, axis, axis[:4],
+                                      phi_sign=phi_sign) for phi_sign in (1, -1))
+    assert pos.chi_lower.strides == (0, 0)                  # CC: one value
+    assert 0 not in pos.chi_upper.strides                   # DD: the grid
+    assert neg.chi_lower.strides[1] == 0 != neg.chi_lower.strides[0]  # DC
+    assert neg.chi_upper.strides[0] == 0 != neg.chi_upper.strides[1]  # CD
+    for grid in (pos, neg):
+        for bound in (grid.chi_lower, grid.chi_upper):
+            assert bound.shape == (6, 4) and not bound.flags.writeable
+
+
+def test_scan_bounds_with_a_flat_denominator_are_whole_grids(base_params):
+    # the inputs of test_scan_matches_per_cell_loop_on_degenerate_denominators
+    for axes in (([0.2, 0.3, 0.4], [0.4, 0.5]),
+                 (np.linspace(0, 0.9, 10), np.linspace(0, 0.9, 10))):
+        grid = assert_scan_matches_reference(base_params, 1, 3.4, *axes,
+                                             chi_probe=1.5)[0]
+        assert np.any(np.isnan(grid.chi_lower))
+        for bound in (grid.chi_lower, grid.chi_upper):
+            assert bound.flags.owndata and 0 not in bound.strides
+
+
+def test_scan_csv_formats_each_bound_value_once(base_params, monkeypatch):
+    formatted = []
+    float_cells = text_mod._float_cells
+    monkeypatch.setattr(text_mod, "_float_cells",
+                        lambda x: formatted.append(x.size) or float_cells(x))
+    e1_axis, e2_axis = np.linspace(0, 0.9, 8), np.linspace(0, 0.9, 5)
+    # phi > 0: the DD bound is the one float column; phi < 0: none is
+    for phi_sign, values in ((1, 8 * 5), (-1, 0)):
+        grid = scan_extortion_region(base_params, 1, 2, e1_axis, e2_axis,
+                                     phi_sign=phi_sign)
+        assert not np.isnan(grid.chi_lower).any()
+        formatted.clear()
+        csv_of(grid)
+        assert sum(formatted) == values
+
+
+def test_chi_bounds_reads_ordinary_0d_bounds(base_params, monkeypatch):
+    returned = []
+    ratio_bounds = extortion._ratio_bounds
+    monkeypatch.setattr(extortion, "_ratio_bounds", lambda *args: (
+        returned.append(ratio_bounds(*args)) or returned[-1]))
+    for phi_sign in (1, -1):
+        chi_bounds(base_params, 1, 2, phi_sign)
+    assert len(returned) == 2
+    for bound in (b for bounds in returned for b in bounds):
+        assert isinstance(bound, np.ndarray) and bound.shape == ()
+        assert bound.base is None and bound.flags.writeable
+
+
+# A 400^2 scan with chi_probe peaks at ~60 bytes per cell for phi > 0 and ~68
+# for phi < 0, where the chi-interval fold sets the peak (tracemalloc, numpy
+# 2.4); the bound leaves ~30% headroom.  Payoffs or row
 # constraints stacked into (n1, n2, 4) arrays, as the scan once built them,
 # peak at ~250.
 SCAN_PEAK_BYTES_PER_CELL = 90

@@ -150,7 +150,7 @@ def test_e2_one_raises_one_message_everywhere(base_params):
             call()
         messages.append(str(info.value))
     assert messages == [
-        "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
+        "e2 = 1 is degenerate: the computation divides by 1 - e2"
     ] * len(calls)
 
 

@@ -306,8 +306,7 @@ def reference_solve(p1, p4, params):
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
     if params.e2 >= 1.0:
         raise DegenerateParameterError(
-            "e2 = 1 makes the pinning constants undefined (division by 1 - e2)"
-        )
+            "e2 = 1 is degenerate: the computation divides by 1 - e2")
     u_c = build_payoffs(params).u_c
     e2 = params.e2
     b = float(u_c[0])

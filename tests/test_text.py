@@ -187,6 +187,54 @@ def _empty(artifact):
         if isinstance(getattr(artifact, f.name), np.ndarray)})
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.one_of(st.sampled_from([(0, 3), (3, 0), (1, 1)]),
+                       st.tuples(st.integers(0, 6), st.integers(0, 6))),
+       constant=st.sampled_from([(), (0,), (1,), (0, 1)]),
+       data=st.data(), block_rows=st.sampled_from([1, 3, 4096]))
+def test_grid_column_writes_the_bytes_of_a_contiguous_grid(
+        shape, constant, data, block_rows):
+    # a grid broadcast along neither, either or both axes: one distinct
+    # value per cell, per row, per column or in all
+    distinct = tuple(1 if k in constant else n for k, n in enumerate(shape))
+    values = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS),
+                                min_size=math.prod(distinct),
+                                max_size=math.prod(distinct)))
+    grid = np.broadcast_to(np.array(values, float).reshape(distinct), shape)
+    column = text_mod.grid_column(grid)
+    if constant and grid.size:
+        assert isinstance(column, text_mod.Coded)
+    saved = text_mod.BLOCK_ROWS
+    text_mod.BLOCK_ROWS = block_rows
+    try:
+        written = b"".join(csv_blocks(["x"], [column]))
+        expected = b"".join(csv_blocks(["x"], [grid.copy().ravel()]))
+    finally:
+        text_mod.BLOCK_ROWS = saved
+    assert written == expected
+
+
+def reference_fraction_words(field: int, n: int) -> list:
+    """Table indices of the n fraction words of `field`, by integer
+    arithmetic: the digits, + 10^4 while every lower word is 0."""
+    words = [field // 10 ** (4 * w) % 10 ** 4 for w in range(n)]
+    return [d + 10 ** 4 * (field % 10 ** (4 * w) == 0)
+            for w, d in enumerate(words)][::-1]
+
+
+def test_fraction_words_split_exactly_as_floats():
+    # fields f * 10^j (f <= 1e12, j <= 4): the largest, whole quotients
+    # next to 10^12, and quotients just below an integer (low word 9999)
+    rng = np.random.default_rng(3)
+    f = np.concatenate([[10 ** 12, 10 ** 12 - 1, 1, 0, 9999, 10 ** 4],
+                        rng.integers(0, 10 ** 12, 400)])
+    fields = sorted({int(x) * 10 ** j for x in f for j in range(5)}
+                    | {10 ** 15 - 1, 10 ** 16 - 10 ** 4})
+    got = text_mod._frac_lookups(np.array(fields, float), 4)
+    assert [list(index) for _, index in got] == [
+        list(w) for w in zip(*(reference_fraction_words(x, 4) for x in fields))]
+
+
 # 25 rows: exactly 1 and 5 blocks, one row more (24, 12) and one row less
 # (26, 13) than whole blocks
 @pytest.mark.parametrize("block_rows", [25, 5, 24, 12, 26, 13])
