@@ -14,7 +14,8 @@ methods below, written once and shared by every record:
 * `__repr__` prints `Name(field=value, ...)`.
 * `__setattr__` and `__delattr__` raise `dataclasses.FrozenInstanceError`.
 * `__eq__` and `__hash__` compare and hash the tuple of field values, as
-  `@dataclass(frozen=True)` does.  `record(eq=False)` keeps object
+  `@dataclass(frozen=True)` does, but a float NaN, also in a tuple field,
+  equals a NaN and hashes like one.  `record(eq=False)` keeps object
   identity instead, for records of arrays, which cannot be compared or
   hashed as values.
 
@@ -24,6 +25,7 @@ Each class stays a dataclass (`fields`, `replace`, `asdict`,
 
 import dataclasses
 import inspect
+import math
 import operator
 from dataclasses import FrozenInstanceError
 
@@ -101,12 +103,20 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _key(value):
+    """`value` with every float NaN, also in a tuple, made the one object
+    `math.nan`: tuples compare items by identity first."""
+    if type(value) is tuple:
+        return tuple(map(_key, value))
+    return math.nan if isinstance(value, float) and value != value else value
+
+
 def _eq(self, other):
     if other.__class__ is self.__class__:
         values = type(self)._record.values
-        return values(self) == values(other)
+        return _key(values(self)) == _key(values(other))
     return NotImplemented
 
 
 def _hash(self) -> int:
-    return hash(type(self)._record.values(self))
+    return hash(_key(type(self)._record.values(self)))

@@ -6,13 +6,12 @@ numbers, and with `strict` every NaN or infinity becomes None.
 
 A CSV value prints by one scalar rule, `_scalar_text`: a float as
 `%.12g` (nan, inf, -inf, -0), an integer as `%d`, a boolean as false/true,
-anything else by `str`.  Only numeric data columns (float and integer
-arrays) apply it through the word tables below.  Every name table, given
-as a list, tuple or array (the key/value CSV's keys and values, a trace's
-state names and payoffs, a grid's axes), and every fallback cell of a
-column (a number the word tables do not print, any cell of another dtype
-kind) print one value at a time through `_scalar_text`.  Nothing depends
-on the locale, so reruns are byte-identical.
+anything else by `str`.  Only float arrays and `range` columns apply it
+through the word tables below; every name table, given as a list, tuple
+or array (the key/value CSV's keys and values, a trace's state names and
+payoffs, a grid's axes), a float column's fallback cells and every other
+array, integer arrays included, print one value at a time.  Nothing
+depends on the locale, so reruns are byte-identical.
 
 `csv_blocks` renders BLOCK_ROWS rows at a time into one uint32 buffer,
 held transposed so that each word column is written by one contiguous
@@ -29,13 +28,14 @@ into byte 0 of every cell, the `-` into byte 1 of a number's first word and
 the `.` into byte 3 of its units word.  `table` and `grid_column` columns
 are coded: each distinct cell is rendered once, into word tables built once
 per column by `_cell_words`, and taken by code; a bool column is
-`table((False, True), col)`, and a `range` column is made an array a block
-at a time.  `grid_column` writes a 2-D grid row-major and codes it along
-an axis of stride 0 (a broadcast view, constant along that axis): a grid's
-axes (`grid_axes`), or a value that depends on one axis or on none,
-costs one rendered cell per distinct value, and its codes per block are
-row // n down the outer axis or a slice of one tiled period of arange(n)
-along the inner one.
+`table((False, True), col)`; a `range` column in [0, 10^13) takes the
+float kernel's integer-part words, with no sign and no fallback.
+`grid_column` writes a 2-D grid row-major and codes it along an axis of
+stride 0 (a broadcast view, constant along that axis): a grid's axes
+(`grid_axes`), or a value that depends on one axis or on none, costs one
+rendered cell per distinct value, and its codes per block are row // n
+down the outer axis or a slice of one tiled period of arange(n) along
+the inner one.
 
 A float x whose 12-digit decimal exponent X lies in [-4, 11] is rounded as
 m = rint(|x| * 10^(11 - X)): the power of ten is exact and the product is
@@ -43,8 +43,7 @@ below 2^40, so it is within half an ulp of the exact value and every
 half-integer is a float; m is the correctly rounded significand unless the
 product is exactly a half-integer, where the exact value may lie on either
 side.  Such ties, products outside [1e11, 1e12], a carry to 1e12 at X = 11
-and non-finite values are formatted one by one with `%.12g`, as are
-integers of 14 or more digits and cells of other kinds.  The fraction
+and non-finite values are formatted one by one with `%.12g`.  The fraction
 digits, an integer field below 10^16, split into 4-digit words as floats,
 by an exact floor of the product with the double nearest 1e-4 (see
 `_frac_lookups`), not by int64 division.  The float kernel reuses its own
@@ -66,7 +65,7 @@ import numpy as np
 BLOCK_ROWS = 16384  # rows rendered into one buffer
 _PAD = 0xFF
 _PAD_WORD = np.uint32(0xFFFFFFFF)
-_INT_LIMIT = 10 ** 13     # integers print through the digit tables below this
+_INT_LIMIT = 10 ** 13     # the reach of the integer-part words
 _POW10 = 10.0 ** np.arange(17)              # exact powers of ten, as floats
 _MAX_M = np.where(np.arange(16) == 0, 1e12 - 1, 1e12)   # no carry at X = 11
 
@@ -261,18 +260,6 @@ def _float_cells(x: np.ndarray):
             [(0, _SIGN, np.signbit(x)), (len(ints) - 1, _POINT, point)])
 
 
-def _integer_cells(v: np.ndarray):
-    """(word lookups, fallback rows, fallback texts, marks) of an integer
-    block."""
-    ok = v < _INT_LIMIT
-    if v.dtype.kind == "i":
-        ok &= v > -_INT_LIMIT
-    i = np.abs(np.where(ok, v, 0).astype(np.int64))
-    bad = np.flatnonzero(~ok)
-    texts = list(map(_scalar_text, v[bad].tolist()))
-    return _int_lookups(i), bad, texts, [(0, _SIGN, v < 0)]
-
-
 def _cell_words(names) -> np.ndarray:
     """(words, len(names)) uint32 cells of `names`, a list, tuple or array:
     the `_scalar_text` of each name behind a pad byte, padded with _PAD to
@@ -366,8 +353,11 @@ def grid_axes(outer, inner) -> tuple[Coded, Coded]:
 
 
 def _column(col) -> Coded | range | np.ndarray:
-    """A 1-D array, `range` or coded column; a bool array becomes a coded
-    column."""
+    """A 1-D array, `range` in [0, _INT_LIMIT) or coded column; a bool
+    array becomes a coded column."""
+    if isinstance(col, range) and col and not (
+            0 <= col[0] < _INT_LIMIT and 0 <= col[-1] < _INT_LIMIT):
+        raise ValueError(f"range column {col} leaves [0, {_INT_LIMIT})")
     if isinstance(col, (Coded, range)):
         return col
     col = np.asarray(col)
@@ -384,11 +374,10 @@ def _lookups(col, start: int, stop: int):
         return [(w, codes) for w in col.words], (), [], []
     values = col[start:stop]
     if isinstance(values, range):
-        values = np.arange(values.start, values.stop, values.step)
+        i = np.arange(values.start, values.stop, values.step)
+        return _int_lookups(i), (), [], []
     if values.dtype.kind == "f":
         return _float_cells(values)
-    if values.dtype.kind in "iu":
-        return _integer_cells(values)
     texts = list(map(_scalar_text, values.tolist()))
     return [], np.arange(len(values)), texts, []
 

@@ -10,16 +10,17 @@ import pickle
 import subprocess
 import sys
 from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
-                         is_dataclass)
+                         is_dataclass, replace)
 
 import numpy as np
 import pytest
 
 import zdtrade
 from zdtrade import (CollectorStrategy, ComparisonReport, ExtortionGrid,
-                     ExtortionParams, GameParams, InvalidParameterError,
-                     PayoffVectors, PinningGrid, ProviderStrategy, SimConfig,
-                     SimResult, StationaryResult, Trace, ZdColumns,
+                     ExtortionParams, ExtortionSolution, GameParams,
+                     InvalidParameterError, PayoffVectors, PinningGrid,
+                     ProviderStrategy, SimConfig, SimResult,
+                     StationaryResult, Trace, ZdColumns,
                      build_extortion_strategy, build_payoffs,
                      check_collector_extortion, check_collector_pinning,
                      compare_to_analytic,
@@ -116,6 +117,27 @@ def test_array_records_compare_by_identity(base_params):
     assert base_params == same and hash(base_params) == hash(same)
 
 
+def test_value_records_holding_nan_equal_their_recomputation(base_params):
+    # every call makes new NaN objects, so equality cannot come from identity
+    def bounds(last=0.0):
+        return ExtortionSolution((0.5, float("nan"), 0.25, last), False, 1.5,
+                                 float("nan"), float("nan"), 2.0,
+                                 (float("nan"), 0.1))
+
+    corner = solve_pinning(1.0, 0.0, base_params)
+    assert math.isnan(corner.pinned_s_c)
+    for make in (lambda: solve_pinning(1.0, 0.0, base_params), bounds):
+        obj = make()
+        for twin in (make(), pickle.loads(pickle.dumps(obj))):
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+    for other in (replace(corner, a_const=corner.a_const + 1.0),
+                  replace(corner, pinned_s_c=0.5), bounds(last=0.1),
+                  replace(bounds(), phi_range=(float("nan"), 0.2)),
+                  replace(bounds(), chi_upper=float("nan"))):
+        original = bounds() if type(other) is ExtortionSolution else corner
+        assert other != original and original != other
+
+
 def test_import_compiles_no_record_methods():
     # @dataclass(frozen=True) would compile each generated method with exec,
     # 92 for these records; `record` lets dataclass generate nothing (Python
@@ -140,8 +162,7 @@ def test_import_compiles_no_record_methods():
 
 
 def _instances(base_params):
-    """One instance of every record, by class name; the value records hold
-    no NaN, so that a copy equals its original."""
+    """One instance of every record, by class name."""
     p, q = ProviderStrategy(0.6, 0.5, 0.4, 0.3), CollectorStrategy(0.5, 0.5)
     ext = ExtortionParams(l1=1, l2=2, chi=1.5)
     sol = build_extortion_strategy(base_params, ext)

@@ -157,6 +157,21 @@ def test_trace_matches_reference(base_params):
          "collector_obs", "collector_action", "u_p", "u_c"], rows)
 
 
+def test_trace_rounds_print_across_word_widths(base_params, monkeypatch):
+    # 997-row blocks hold both 999 -> 1000 and 99,999 -> 100,000, where the
+    # round's integer part gains a word
+    config = SimConfig(params=base_params,
+                       p=ProviderStrategy(0.9, 0.78, 0.08, 0.1),
+                       q=CollectorStrategy(0.3, 0.7), rounds=100_010, seed=11)
+    _, trace = play_rounds(config, collect_trace=True)
+    whole = csv_of(trace)
+    monkeypatch.setattr(text_mod, "BLOCK_ROWS", 997)
+    text = csv_of(trace)
+    assert text == whole
+    rounds = [line.partition(",")[0] for line in text.split("\n")[1:-1]]
+    assert rounds == [str(t) for t in range(1, 100_011)]
+
+
 @pytest.mark.parametrize("m", [
     np.full((4, 4), 0.25),
     np.array([[math.nan, -0.0, 1e300, 5e-324]] * 4),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import zdtrade._text as text_mod
 from zdtrade import GameParams, scan_pinning_region
-from zdtrade._text import csv_text
+from zdtrade._text import csv_blocks, csv_text
 
 INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 
@@ -200,3 +200,16 @@ def test_columns_must_be_one_dimensional():
 def test_table_codes_must_index_the_names():
     with pytest.raises(ValueError, match=r"codes must lie in \[0, 2\)"):
         text_mod.table("DC", np.array([0, 2]))
+
+
+def test_range_columns_print_as_percent_d():
+    for values in (range(995, 1005), range(99_998, 100_002),
+                   range(10**13 - 3, 10**13), range(12, -1, -3), range(0)):
+        assert cells(values) == ["%d" % v for v in values]
+
+
+@pytest.mark.parametrize("values", [
+    range(-1, 3), range(10**13 - 2, 10**13 + 1), range(10**13, 0, -1)])
+def test_range_columns_must_lie_within_the_integer_words(values):
+    with pytest.raises(ValueError, match=r"leaves \[0, 10000000000000\)"):
+        csv_blocks(["x"], [values])
